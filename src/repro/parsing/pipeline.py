@@ -80,9 +80,11 @@ class LogParser:
 
         The vocabulary's phrase texts *are* the mined templates (masking
         is idempotent), so replaying them through a fresh miner in id
-        order rebuilds the exact template tree — phrase ids, labels and
-        terminal flags all match the original parser.  This is how a
-        model saved by the CLI scores logs it has never seen.
+        order rebuilds the exact template tree — phrase ids, labels,
+        terminal flags and occurrence counts all match the original
+        parser.  This is how a model saved by the CLI scores logs it has
+        never seen, and how a cached parse stage feeds skip-gram negative
+        sampling the same counts as a cold fit.
         """
         parser = cls(labeler=labeler)
         for pid in range(len(vocab)):
@@ -93,7 +95,7 @@ class LogParser:
                     f"vocabulary phrase {pid} ({text!r}) did not rebuild "
                     f"to a unique template (got id {template.template_id})"
                 )
-            parser._intern(text)
+            parser._intern(text, vocab.count_of(pid))
         parser._fitted = True
         return parser
 
@@ -109,8 +111,8 @@ class LogParser:
             span.set(records=count, phrases=len(self.vocab))
         return self
 
-    def _intern(self, text: str) -> int:
-        pid = self.vocab.add(text)
+    def _intern(self, text: str, count: int = 1) -> int:
+        pid = self.vocab.add(text, count)
         while len(self._labels) < len(self.vocab):
             phrase = self.vocab.text_of(len(self._labels))
             self._labels.append(self.labeler.label(phrase))

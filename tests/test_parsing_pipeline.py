@@ -1,10 +1,11 @@
 """Tests for the end-to-end log parser."""
 
+import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
 from repro.events import Label
-from repro.parsing import LogParser
+from repro.parsing import LogParser, PhraseVocabulary
 from repro.parsing.tokenizer import mask_message
 from repro.simlog.record import LogRecord
 from repro.topology import CrayNodeId
@@ -107,3 +108,12 @@ class TestFromVocabulary:
     def test_terminal_flags_preserved(self, fitted_parser):
         rebuilt = LogParser.from_vocabulary(fitted_parser.vocab)
         assert rebuilt.terminal_ids() == fitted_parser.terminal_ids()
+
+    def test_round_trip_preserves_counts(self, fitted_parser, tmp_path):
+        """Occurrence counts survive save -> load -> rebuild unchanged."""
+        path = tmp_path / "vocab.json"
+        fitted_parser.vocab.save(path)
+        rebuilt = LogParser.from_vocabulary(PhraseVocabulary.load(path))
+        counts = fitted_parser.vocab.counts()
+        assert counts.max() > 1
+        assert np.array_equal(rebuilt.vocab.counts(), counts)

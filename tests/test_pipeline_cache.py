@@ -172,3 +172,15 @@ class TestWarmExecution:
         model = Desh(pipe_config).fit(train_records, cache_dir=str(cache_dir))
         assert model.num_chains > 0
         assert model.phase1.classifier is not None
+
+    def test_warm_fit_saves_cold_vocabulary(
+        self, pipe_config, train_records, cache_dir, cold_run, tmp_path
+    ):
+        """A cache-loaded parse stage keeps the mined phrase counts."""
+        cold = assemble_model(pipe_config, cold_run)
+        warm = Desh(pipe_config).fit(train_records, cache_dir=str(cache_dir))
+        cold.save(tmp_path / "cold")
+        warm.save(tmp_path / "warm")
+        assert (tmp_path / "warm" / "vocab.json").read_bytes() == (
+            tmp_path / "cold" / "vocab.json"
+        ).read_bytes()
