@@ -73,10 +73,10 @@ def measure_batch_throughput(
     on the M1 preset): ``(history=5, 2)`` chain windows through a
     2-layer hidden-64 LSTM.  The ``"sequential"`` sample is the serving
     engine this repo used before the batch-major refactor — one
-    :meth:`~repro.nn.model.SequenceRegressor.predict` call per window —
-    and one ``"batched"`` sample per requested batch size runs the same
-    *windows* window set through
-    :meth:`~repro.nn.model.SequenceRegressor.predict_infer` in
+    training-forward :meth:`~repro.nn.model.SequenceRegressor.forward`
+    call per window — and one ``"batched"`` sample per requested batch
+    size runs the same *windows* window set through the inference
+    forward :meth:`~repro.nn.model.SequenceRegressor.predict` in
     fixed-size slices.  Each measurement is the median over *passes*
     timed sweeps of the full window set, after one warm-up sweep.
     Weights are untrained — latency does not depend on the values.
@@ -108,7 +108,7 @@ def measure_batch_throughput(
 
     def sequential() -> None:
         for i in range(windows):
-            model.predict(stack[i : i + 1])
+            model.forward(stack[i : i + 1])
 
     samples = [
         ThroughputSample(
@@ -121,7 +121,7 @@ def measure_batch_throughput(
 
         def batched(batch: int = batch) -> None:
             for start in range(0, windows, batch):
-                model.predict_infer(stack[start : start + batch])
+                model.predict(stack[start : start + batch])
 
         samples.append(
             ThroughputSample(

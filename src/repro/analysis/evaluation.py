@@ -169,7 +169,6 @@ def evaluate_model(
     ground_truth: GroundTruth,
     *,
     store=None,
-    workers: int = 1,
     slack: float = 30.0,
 ) -> EvaluationResult:
     """Score *model* over raw *records* and tally against *ground_truth*.
@@ -185,5 +184,5 @@ def evaluate_model(
     sequences = [
         seq for seq in parsed.by_node().values() if seq.node is not None
     ]
-    verdicts = model.score_sequences(sequences, workers=workers)
+    verdicts = model.score_sequences(sequences)
     return Evaluator(ground_truth, slack=slack).evaluate(verdicts)

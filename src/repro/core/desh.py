@@ -51,39 +51,22 @@ class DeshModel:
         """Encode raw test records with the trained parser."""
         return self.parser.transform(records)
 
-    def score(
-        self, records: Iterable[LogRecord], *, workers: int = 1
-    ) -> list[EpisodeVerdict]:
-        """Segment and score every per-node episode in *records*.
-
-        ``workers > 1`` shards the per-node sequences and scores them on
-        a thread pool (NumPy releases the GIL inside BLAS); results are
-        identical to the serial path, in a deterministic order.
-        """
+    def score(self, records: Iterable[LogRecord]) -> list[EpisodeVerdict]:
+        """Segment and score every per-node episode in *records*."""
         parsed = self.parse(records)
         sequences = [
             seq for seq in parsed.by_node().values() if seq.node is not None
         ]
-        return self.score_sequences(sequences, workers=workers)
+        return self.score_sequences(sequences)
 
-    def score_sequences(
-        self, sequences: Sequence, *, workers: int = 1
-    ) -> list[EpisodeVerdict]:
+    def score_sequences(self, sequences: Sequence) -> list[EpisodeVerdict]:
         """Score already-encoded per-node sequences (cache-friendly path).
 
         Callers that hold a pre-parsed event stream — e.g. an evaluation
         sweep reusing a cached ``ParseResult`` — can skip re-parsing and
         feed its ``by_node()`` sequences here directly.
         """
-        if workers <= 1 or len(sequences) <= 1:
-            return self.predictor.predict_sequences(sequences)
-        from ..parallel import ordered_parallel_map, shard_sequences
-
-        shards = shard_sequences(sequences, workers)
-        chunks = ordered_parallel_map(
-            self.predictor.predict_sequences, shards, max_workers=workers
-        )
-        return [v for chunk in chunks for v in chunk]
+        return self.predictor.predict_sequences(sequences)
 
     def predict(self, records: Iterable[LogRecord]) -> list[FailurePrediction]:
         """The raised failure flags for *records*."""

@@ -36,12 +36,10 @@ from ..errors import PredictionError
 from ..obs import current_tracer, metrics_registry, obs_enabled
 from ..events import EventSequence, ParsedEvent
 from ..nn.batched import BatchedScorer
-from ..nn.data import sliding_windows_continuous
 from ..nn.model import SequenceRegressor
 from ..topology.cray import CrayNodeId
 from .chains import Episode, segment_episodes
 from .deltas import LeadTimeScaler
-from .phase2 import pad_vectors
 
 __all__ = [
     "Phase3Predictor",
@@ -164,19 +162,6 @@ class Phase3Predictor:
     # ------------------------------------------------------------------
     # offline (paper) scoring
     # ------------------------------------------------------------------
-    def _episode_windows(
-        self, timestamps: np.ndarray, phrase_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Vector windows of an episode; returns (X, Y, pad_len)."""
-        vectors = self.scaler.encode_chain(timestamps, phrase_ids)
-        history = self.config.history_size
-        # Same left-padding convention as phase-2 training: one window per
-        # real event, so flags can be raised early in the episode.
-        padded = pad_vectors(vectors, len(vectors) + history)
-        pad_len = len(padded) - len(vectors)
-        x, y = sliding_windows_continuous(padded, history, 1)
-        return x, y[:, 0, :], pad_len
-
     def score_episode(self, episode: Episode) -> EpisodeVerdict:
         """Score one episode with the retrospective (paper) encoding.
 
@@ -193,15 +178,13 @@ class Phase3Predictor:
         the episode to be flagged; the decision point is the first match.
         The earliest flag across all suffixes wins (longest lead time).
         """
-        if obs_enabled():
-            start = time.perf_counter()
-            verdict, windows = self._score_episode(episode)
-            if windows:
-                metrics_registry().histogram("phase3.prediction_ms").observe(
-                    (time.perf_counter() - start) * 1e3 / windows
-                )
-        else:
-            verdict, _ = self._score_episode(episode)
+        timed = obs_enabled()
+        start = time.perf_counter() if timed else 0.0
+        verdict, windows = self._score_episode(episode)
+        if timed and windows:
+            self._observe_prediction(
+                (time.perf_counter() - start) * 1e3 / windows
+            )
         registry = metrics_registry()
         registry.counter("phase3.episodes").inc()
         if verdict.flagged:
@@ -211,7 +194,12 @@ class Phase3Predictor:
     def _score_episode(
         self, episode: Episode
     ) -> tuple[EpisodeVerdict, int]:
-        """The scoring body; returns the verdict and the windows scored."""
+        """The scoring body; returns the verdict and the windows scored.
+
+        Every suffix's window stack goes through one chunked
+        :meth:`BatchedScorer.predict_batch` call; each suffix's rows are
+        then sliced back out for the flag rule.
+        """
         cfg = self.config
         if len(episode) < cfg.min_chain_events:
             verdict = EpisodeVerdict(
@@ -220,50 +208,49 @@ class Phase3Predictor:
             return verdict, 0
         all_ts = episode.timestamps()
         all_ids = episode.phrase_ids()
-        end_time = episode.end_time
-        best_mse = float("inf")
-        best_flag: EpisodeVerdict | None = None
-        windows_scored = 0
         max_skip = min(cfg.max_suffix_skip, len(episode) - cfg.min_chain_events)
-        for skip in range(0, max_skip + 1):
-            timestamps = all_ts[skip:]
-            x, y, pad_len = self._episode_windows(timestamps, all_ids[skip:])
-            mses: np.ndarray = self.scaler.mse_paper_units(
-                self.regressor.predict(x), y
-            )
-            windows_scored += len(mses)
-            if len(mses):
-                best_mse = min(best_mse, float(np.min(mses)))
+        suffixes = [
+            self.scorer.chain_matrix(all_ts[skip:], all_ids[skip:])
+            for skip in range(max_skip + 1)
+        ]
+        x = np.concatenate([sx for sx, _, _ in suffixes], axis=0)
+        y = np.concatenate([sy for _, sy, _ in suffixes], axis=0)
+        all_mses: np.ndarray = self.scaler.mse_paper_units(
+            self.scorer.predict_batch(x, chunk=cfg.scoring_batch), y
+        )
+        best_flag: EpisodeVerdict | None = None
+        offset = 0
+        for skip, (sx, _, pad_len) in enumerate(suffixes):
+            mses = all_mses[offset : offset + len(sx)]
+            offset += len(sx)
             hits = _passing_windows(
                 mses,
                 history=cfg.history_size,
                 pad_len=pad_len,
-                n_real=len(timestamps),
+                n_real=len(all_ts) - skip,
                 flag_position=cfg.flag_position,
                 threshold=cfg.mse_threshold,
             )
-            if len(hits) >= cfg.confirmation_windows:
-                first = int(hits[0])
-                decision_index = skip + first + cfg.history_size - pad_len
-                mse = float(mses[first])
+            if len(hits) < cfg.confirmation_windows:
+                continue
+            first = int(hits[0])
+            decision_index = skip + first + cfg.history_size - pad_len
+            if best_flag is None or decision_index < best_flag.decision_index:
                 decision_time = float(all_ts[decision_index])
-                candidate = EpisodeVerdict(
+                best_flag = EpisodeVerdict(
                     episode=episode,
                     flagged=True,
-                    mse=mse,
+                    mse=float(mses[first]),
                     decision_index=decision_index,
                     decision_time=decision_time,
-                    lead_seconds=float(end_time - decision_time),
+                    lead_seconds=float(episode.end_time - decision_time),
                 )
-                if (
-                    best_flag is None
-                    or candidate.decision_index < best_flag.decision_index
-                ):
-                    best_flag = candidate
         if best_flag is not None:
-            return best_flag, windows_scored
-        verdict = EpisodeVerdict(episode=episode, flagged=False, mse=best_mse)
-        return verdict, windows_scored
+            return best_flag, len(x)
+        verdict = EpisodeVerdict(
+            episode=episode, flagged=False, mse=float(np.min(all_mses))
+        )
+        return verdict, len(x)
 
     def predict_sequences(
         self, sequences: Sequence[EventSequence]

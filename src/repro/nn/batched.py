@@ -1,20 +1,20 @@
 """Batch-major scoring core: one vectorized path for all inference.
 
-Phase 3, the streaming monitor, and the serving shards all score the
-same thing — stacks of ``(history, 2)`` chain windows — but historically
-each walked its own loop around :meth:`SequenceRegressor.predict`.
-:class:`BatchedScorer` is the single chokepoint they now share:
+Phase 3 (offline and online), the streaming monitor, and the serving
+shards all score the same thing — stacks of ``(history, 2)`` chain
+windows.  :class:`BatchedScorer` is the single chokepoint they share:
 
-* :meth:`chain_matrix` builds the window stack for one growing episode,
-  bit-equal to the phase-3 offline encoding but without re-deriving the
-  phrase normalization or the gather indices on every call (the phrase
-  "embedding" lookup table and the per-length window index matrices are
-  cached);
-* :meth:`predict_batch` runs the stack through the cache-free
-  batch-major LSTM kernel (:meth:`StackedLSTM.forward_infer`) and the
-  row-stable head, optionally in fixed-size chunks whose boundaries are
-  chosen so no chunk ever degenerates to a single row (BLAS takes a
-  different kernel for M=1, which would break row-bit-independence).
+* :meth:`chain_matrix` builds the window stack for one episode,
+  bit-equal to the ``encode_chain`` -> ``pad_vectors`` -> windowing
+  reference encoding but without re-deriving the phrase normalization
+  or the gather indices on every call (the phrase "embedding" lookup
+  table and the per-length window index matrices are cached);
+* :meth:`predict_batch` runs the stack through the regressor's one
+  inference forward (:meth:`SequenceRegressor.predict`: the cache-free
+  batch-major backbone kernel and the row-stable head), optionally in
+  fixed-size chunks whose boundaries are chosen so no chunk ever
+  degenerates to a single row (BLAS takes a different kernel for M=1,
+  which would break row-bit-independence).
 
 Because every row of :meth:`predict_batch`'s output depends only on the
 matching input window (for chunk sizes >= 2), scoring B units stacked
@@ -89,11 +89,11 @@ class BatchedScorer:
     ) -> "tuple[np.ndarray, np.ndarray, int]":
         """The chain-score matrix of one episode: ``(X, Y, pad_len)``.
 
-        Bit-equal to the offline phase-3 window pipeline
-        (``encode_chain`` -> ``pad_vectors`` -> windowing) with the
-        anchor at the newest event: ``X`` is ``(N, history, 2)``, ``Y``
-        is ``(N, 2)`` (one window per real event, left-padding
-        replicating the first vector), ``pad_len`` the rows of padding.
+        Bit-equal to the reference window pipeline (``encode_chain`` ->
+        ``pad_vectors`` -> windowing) with the anchor at the newest
+        event: ``X`` is ``(N, history, 2)``, ``Y`` is ``(N, 2)`` (one
+        window per real event, left-padding replicating the first
+        vector), ``pad_len`` the rows of padding.
         """
         timestamps = np.asarray(timestamps, dtype=np.float64)
         phrase_ids = np.asarray(phrase_ids)
@@ -161,10 +161,10 @@ class BatchedScorer:
         identical because chunk boundaries never isolate a single row.
         """
         if chunk is None or len(x) <= chunk:
-            return self.regressor.predict_infer(x)
+            return self.regressor.predict(x)
         if chunk < 2:
             raise ShapeError(f"chunk must be >= 2, got {chunk}")
         out = np.empty((len(x), self.output_dim), dtype=np.float64)
         for start, end in self._chunk_bounds(len(x), chunk):
-            out[start:end] = self.regressor.predict_infer(x[start:end])
+            out[start:end] = self.regressor.predict(x[start:end])
         return out

@@ -500,22 +500,15 @@ class SequenceRegressor:
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Next-sample predictions, shape ``(B, D_out)``."""
-        if not self._fitted:
-            raise NotFittedError("SequenceRegressor.fit has not run")
-        return self.forward(x)
+        """Next-sample predictions, shape ``(B, D_out)``.
 
-    def predict_infer(self, x: np.ndarray) -> np.ndarray:
-        """Batch-major inference predictions, shape ``(B, D_out)``.
-
-        The serving-path twin of :meth:`predict`: same validation and
-        semantics, but routed through the backbone's cache-free
+        The one inference forward: the backbone's cache-free
         ``forward_infer`` kernel and the row-stable
         :meth:`Dense.forward_stable` head, so each window's prediction
         is bitwise independent of how many other windows share the
-        batch (for B >= 2).  All batched phase-3 scoring goes through
-        here; outputs may differ from :meth:`predict` by 1-2 ulp (the
-        training forward keeps its own rounding for cache stability).
+        batch (for B >= 2).  Offline and online phase-3 scoring both go
+        through here; outputs may differ from :meth:`forward` (the
+        training forward, which keeps BPTT caches) by 1-2 ulp.
         """
         if not self._fitted:
             raise NotFittedError("SequenceRegressor.fit has not run")
@@ -526,19 +519,6 @@ class SequenceRegressor:
             )
         hs = self.backbone.forward_infer(x)
         return self.head.forward_stable(hs[:, -1, :])
-
-    def mse_per_sample(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-window MSE between prediction and target, shape ``(B,)``.
-
-        This is the phase-3 match statistic compared against the 0.5
-        threshold.
-        """
-        pred = self.predict(x)
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != pred.shape:
-            raise ShapeError(f"target shape {y.shape} != {pred.shape}")
-        diff = pred - y
-        return np.mean(diff * diff, axis=1)
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:

@@ -102,7 +102,6 @@ def chaos_evaluation(
     *,
     seed: int = 0,
     ingest_config: IngestConfig | None = None,
-    workers: int = 1,
     store=None,
 ) -> ChaosReport:
     """Evaluate *model* on clean and fault-injected versions of *records*.
@@ -121,15 +120,13 @@ def chaos_evaluation(
     """
     from ..analysis.evaluation import evaluate_model
 
-    clean_result = evaluate_model(
-        model, records, ground_truth, store=store, workers=workers
-    )
+    clean_result = evaluate_model(model, records, ground_truth, store=store)
 
     injector = ChaosInjector(profile, seed=seed)
     ingestor = HardenedIngestor(ingest_config)
     chaotic_records = list(ingestor.ingest_lines(injector.inject_records(records)))
     chaotic_result = evaluate_model(
-        model, chaotic_records, ground_truth, store=store, workers=workers
+        model, chaotic_records, ground_truth, store=store
     )
     return ChaosReport(
         profile=profile,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import Evaluator, rolling_origin_evaluation
 from repro.errors import ConfigError
+from repro.parallel import ordered_parallel_map, shard_sequences
 
 
 class TestRollingOrigin:
@@ -52,8 +53,18 @@ class TestRollingOrigin:
 
 class TestParallelScore:
     def test_parallel_equals_serial(self, trained_model, test_split):
+        """Thread-sharded ``score_sequences`` calls share one model safely."""
         serial = trained_model.score(test_split.records)
-        parallel = trained_model.score(test_split.records, workers=4)
+        parsed = trained_model.parse(test_split.records)
+        sequences = [
+            s for s in parsed.by_node().values() if s.node is not None
+        ]
+        chunks = ordered_parallel_map(
+            trained_model.score_sequences,
+            shard_sequences(sequences, 4),
+            max_workers=4,
+        )
+        parallel = [v for chunk in chunks for v in chunk]
         key = lambda v: (str(v.node), v.episode.start_time)
         assert sorted((key(v), v.flagged, round(v.mse, 9)) for v in serial) == sorted(
             (key(v), v.flagged, round(v.mse, 9)) for v in parallel

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import Phase3Config
 from repro.core.deltas import LeadTimeScaler
-from repro.core.phase3 import Phase3Predictor
+from repro.core.phase2 import pad_vectors
 from repro.errors import NotFittedError, ShapeError
 from repro.nn import BatchedScorer
+from repro.nn.data import sliding_windows_continuous
 from repro.nn.lstm import LSTMCell, StackedLSTM
 from repro.nn.model import SequenceRegressor
 
@@ -102,12 +102,12 @@ class TestKernelBitIdentity:
         assert not np.array_equal(h, h2)
         assert c2.shape == (4, 16)
 
-    def test_predict_infer_matches_training_forward_closely(self):
+    def test_predict_matches_training_forward_closely(self):
         """The inference kernel is the same function, modulo 1-2 ulp."""
         rng = np.random.default_rng(1)
         x = rng.random((16, HISTORY, 2))
         np.testing.assert_allclose(
-            _MODEL.predict_infer(x), _MODEL.predict(x), rtol=1e-12
+            _MODEL.predict(x), _MODEL.forward(x), rtol=1e-12
         )
 
     def test_round_trip_preserves_bit_identity(self, tmp_path):
@@ -134,19 +134,17 @@ class TestChainMatrix:
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_matches_offline_episode_windows(self, length, seed):
-        """The cached encoding is bit-equal to the phase-3 pipeline."""
-        predictor = Phase3Predictor(
-            _MODEL,
-            _SCORER.scaler,
-            config=Phase3Config(history_size=HISTORY),
-        )
+        """The cached encoding is bit-equal to the reference pipeline:
+        ``encode_chain`` -> ``pad_vectors`` -> continuous windowing."""
         rng = np.random.default_rng(seed)
         ts, ids = _random_chain(rng, length)
         x, y, pad = _SCORER.chain_matrix(ts, ids)
-        x_ref, y_ref, pad_ref = predictor._episode_windows(ts, ids)
-        assert pad == pad_ref
+        vectors = _SCORER.scaler.encode_chain(ts, ids)
+        padded = pad_vectors(vectors, len(vectors) + HISTORY)
+        x_ref, y_ref = sliding_windows_continuous(padded, HISTORY, 1)
+        assert pad == len(padded) - len(vectors)
         assert np.array_equal(x, x_ref)
-        assert np.array_equal(y, y_ref)
+        assert np.array_equal(y, y_ref[:, 0, :])
 
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(ShapeError, match="non-decreasing"):
@@ -198,10 +196,10 @@ class TestChunking:
 
 
 class TestValidation:
-    def test_predict_infer_requires_fit(self):
+    def test_predict_requires_fit(self):
         model = SequenceRegressor(2, hidden_size=8, num_layers=1, seed=0)
         with pytest.raises(NotFittedError):
-            model.predict_infer(np.zeros((1, HISTORY, 2)))
+            model.predict(np.zeros((1, HISTORY, 2)))
 
     def test_scorer_requires_positive_history(self):
         with pytest.raises(ShapeError):

@@ -142,17 +142,6 @@ class TestSequenceRegressor:
     def test_loss_decreases(self, trained_regressor):
         assert trained_regressor.history[-1] < trained_regressor.history[0]
 
-    def test_mse_per_sample_shape(self, trained_regressor, sine_data):
-        x, y = sine_data
-        mses = trained_regressor.mse_per_sample(x[:7], y[:7])
-        assert mses.shape == (7,)
-        assert np.all(mses >= 0)
-
-    def test_mse_per_sample_rejects_mismatch(self, trained_regressor, sine_data):
-        x, _ = sine_data
-        with pytest.raises(ShapeError):
-            trained_regressor.mse_per_sample(x[:3], np.zeros((3, 5)))
-
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             SequenceRegressor(2).predict(np.zeros((1, 5, 2)))
