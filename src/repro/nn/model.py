@@ -405,14 +405,18 @@ class SequenceRegressor:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Predict the next sample for each ``(B, T, D)`` window: ``(B, D_out)``."""
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        """*x* as float64 ``(B, T, input_dim)`` windows, or ShapeError."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ShapeError(
                 f"input must be (B, T, {self.input_dim}), got {x.shape}"
             )
-        hs = self.backbone.forward(x)
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Predict the next sample for each ``(B, T, D)`` window: ``(B, D_out)``."""
+        hs = self.backbone.forward(self._windows(x))
         self._last_hs_shape = hs.shape
         return self.head.forward(hs[:, -1, :])
 
@@ -512,12 +516,7 @@ class SequenceRegressor:
         """
         if not self._fitted:
             raise NotFittedError("SequenceRegressor.fit has not run")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ShapeError(
-                f"input must be (B, T, {self.input_dim}), got {x.shape}"
-            )
-        hs = self.backbone.forward_infer(x)
+        hs = self.backbone.forward_infer(self._windows(x))
         return self.head.forward_stable(hs[:, -1, :])
 
     # ------------------------------------------------------------------
