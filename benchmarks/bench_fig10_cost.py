@@ -12,10 +12,12 @@ batch size, against the pre-refactor sequential engine (one training
 forward per window — the paper's deployment mode).  The measured curve
 is recorded in ``BENCH_fig10.json`` at the repo root.
 
-``test_fig10_window_filter_vectorized`` pins the deshlint-P1 dogfood
-fix on the same measured path: phase 3's per-window flag filter (the
-loop the profile attributes to ``phase3.prediction_ms``) against its
-vectorized replacement, recorded in ``BENCH_p1_dogfood.json``.
+``test_fig10_window_filter_vectorized`` times runtime code on the same
+measured path: phase 3's per-window flag filter (``_passing_windows``)
+against the per-window loop it replaced, recorded in
+``BENCH_p1_dogfood.json``.  The file keeps its name from the since
+retired lint rule that first flagged the loop; the measurement is of
+phase 3, not of the linter.
 """
 
 from __future__ import annotations

@@ -2,17 +2,15 @@
 
 The self-lint gate runs in tier-1 CI on every push, so its wall time is
 part of the edit-test loop.  Budget: one full pass over ``src/repro``
-(~130 modules, syntactic *and* dataflow *and* perf rules, suppressions
-+ baseline applied) in under 15 seconds.  The super-linear pieces are
+(~130 modules, syntactic *and* dataflow rules, suppressions + baseline
+applied) in under 15 seconds.  The super-linear pieces are
 timed separately to catch complexity regressions early:
 
 * the R2 reachability pass builds a whole-project call graph;
 * the F1-F3 dataflow pass builds a CFG per function and iterates the
   shape domain to a fixpoint;
 * the F4-F6 async pass adds the lockset fixpoint per coroutine plus a
-  second call-graph walk rooted at every async def (F5);
-* the P1-P3 perf pass solves reaching definitions per function and
-  replays them per statement for loop-invariance proofs.
+  second call-graph walk rooted at every async def (F5).
 
 Every registered rule is also timed *individually* over a single
 pre-parsed module set, so a budget failure names the rules actually
@@ -34,7 +32,6 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 #: Rule ids by analysis family, kept in sync with Rule.category.
 SYNTACTIC = ["R1", "R2", "R3", "R4", "R5"]
 DATAFLOW = ["F1", "F2", "F3", "F4", "F5", "F6"]
-PERF = ["P1", "P2", "P3"]
 #: The deshrace trio: the async-aware subset of the dataflow family.
 ASYNC_RULES = ["F4", "F5", "F6"]
 
@@ -64,7 +61,6 @@ def test_rule_family_constants_match_registry():
     by_category = {
         "syntactic": SYNTACTIC,
         "dataflow": DATAFLOW,
-        "perf": PERF,
     }
     registered = {}
     for rule in all_rules():
@@ -80,7 +76,6 @@ def test_full_repo_lint_under_budget(capsys):
     full_seconds, modules = _timed_lint()
     syntactic_seconds, _ = _timed_lint(rules=get_rules(SYNTACTIC))
     dataflow_seconds, _ = _timed_lint(rules=get_rules(DATAFLOW))
-    perf_seconds, _ = _timed_lint(rules=get_rules(PERF))
     async_seconds, _ = _timed_lint(rules=get_rules(ASYNC_RULES))
 
     parsed, _errors = load_modules([PACKAGE_DIR])
@@ -90,13 +85,12 @@ def test_full_repo_lint_under_budget(capsys):
     with capsys.disabled():
         print()
         print(
-            f"full lint (R/F/P)        {full_seconds:6.2f}s  "
+            f"full lint (R/F)          {full_seconds:6.2f}s  "
             f"({modules} modules)"
         )
         print(f"  syntactic (R1-R5)      {syntactic_seconds:6.2f}s")
         print(f"  dataflow (F1-F6)       {dataflow_seconds:6.2f}s")
         print(f"    F4-F6 async passes   {async_seconds:6.2f}s")
-        print(f"  perf (P1-P3)           {perf_seconds:6.2f}s")
         print("  per rule (parse excluded):")
         for rule_id in slowest:
             print(f"    {rule_id:<4}                 {per_rule[rule_id]:6.2f}s")
@@ -115,4 +109,3 @@ def test_full_repo_lint_under_budget(capsys):
     # assertion message names the individual rules responsible.
     assert dataflow_seconds < BUDGET_SECONDS, f"slowest rules: {top3}"
     assert async_seconds < BUDGET_SECONDS, f"slowest rules: {top3}"
-    assert perf_seconds < BUDGET_SECONDS, f"slowest rules: {top3}"

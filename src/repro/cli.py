@@ -54,17 +54,14 @@ Commands
     report — restarts, recovery times vs the SLO, shed/retry
     accounting, and bit-identity vs a fault-free run.
 ``lint``
-    Run the deshlint static-analysis gate — syntactic rules R1-R5, the
-    dataflow analyses F1-F6 (shape flow, stage artifact flow, parallel
-    capture safety, async atomicity, blocking-call reachability,
-    orphaned coroutines) and the perf rules P1-P3 (vectorization,
-    loop-invariant hoisting, hidden quadratics) — over source paths;
-    exits 1 on any finding not covered by an inline suppression or the
-    baseline file.  ``--sarif`` additionally writes a SARIF 2.1.0 log
-    for GitHub code scanning; ``--rules list`` prints the registry
-    grouped by category; ``--jobs N`` analyzes files in parallel;
-    ``--profile trace.jsonl`` ranks findings by measured hotness and
-    escalates perf findings on hot paths, gated by ``--min-level``.
+    Run the deshlint static-analysis gate — syntactic rules R1-R5 and
+    the dataflow analyses F1-F6 (shape flow, stage artifact flow,
+    parallel capture safety, async atomicity, blocking-call
+    reachability, orphaned coroutines) — over source paths; exits 1 on
+    any finding not covered by an inline suppression or the baseline
+    file.  ``--sarif`` additionally writes a SARIF 2.1.0 log for GitHub
+    code scanning; ``--rules list`` prints the registry grouped by
+    category; ``--jobs N`` analyzes files in parallel.
 
 Examples
 --------
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True, help="markdown output path")
 
     li = sub.add_parser(
-        "lint", help="run deshlint static analysis (R1-R5, F1-F6, P1-P3)"
+        "lint", help="run deshlint static analysis (R1-R5, F1-F6)"
     )
     li.add_argument(
         "paths",
@@ -255,22 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="analyze N files in parallel (process pool); findings are "
         "reported in the same deterministic order as a serial run",
-    )
-    li.add_argument(
-        "--profile",
-        action="append",
-        metavar="PATH",
-        help="trace JSONL or metrics JSON from `repro trace`; rank "
-        "findings by measured hotness and escalate perf findings on "
-        "hot paths (repeatable — all files merge into one profile)",
-    )
-    li.add_argument(
-        "--min-level",
-        choices=("note", "warning", "error"),
-        default="note",
-        help="only findings at or above this SARIF level fail the gate "
-        "(default: note, i.e. any finding fails — use `error` with "
-        "--profile to gate on hot-path perf findings only)",
     )
 
     tr = sub.add_parser(
@@ -680,12 +661,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     With no paths, lints the installed ``repro`` package itself (the
     self-lint CI gate).  ``--update-baseline`` grandfathers the current
     findings so the gate only fails on regressions; ``--sarif`` writes
-    a SARIF 2.1.0 log alongside the normal output.  ``--profile``
-    joins the findings against measured ``repro trace`` artifacts:
-    output ranks hottest-first with attributed milliseconds, and perf
-    findings escalate (hot critical path -> error, hot -> warning,
-    cold -> note); combined with ``--min-level error`` this gates CI
-    on exactly the perf findings that sit under measured hot spans.
+    a SARIF 2.1.0 log alongside the normal output.
     """
     from .lint import Baseline, all_rules, get_rules
     from .lint.engine import lint_modules, load_modules
@@ -738,40 +714,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
 
-    ranked = None
-    if args.profile:
-        from .lint.perf import HotnessProfile, apply_profile
-
-        hotness = HotnessProfile.load(args.profile)
-        ranked = apply_profile(report.findings, modules, hotness)
-        # Replace the path-ordered findings with the hotness-annotated,
-        # hottest-first ranking; SARIF and --json inherit it.
-        report.findings = [r.finding for r in ranked]
-
-    effective = list(rules) if rules is not None else all_rules()
     if args.sarif:
         from .lint.sarif import write_sarif
 
+        effective = list(rules) if rules is not None else all_rules()
         write_sarif(args.sarif, report, effective, root=Path.cwd())
         print(f"wrote SARIF log to {args.sarif}", file=sys.stderr)
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))
-    elif ranked is not None:
-        for entry in ranked:
-            finding = entry.finding
-            level = finding.level or "warning"
-            print(
-                f"{level:<7} {finding.hotness_ms:9.1f}ms  "
-                f"{finding.render()}"
-            )
-        suffix = (
-            f" ({len(report.baselined)} baselined)" if report.baselined else ""
-        )
-        print(
-            f"deshlint: {report.modules} modules, "
-            f"{len(report.findings)} finding(s){suffix}, "
-            f"{hotness.total_ms():.1f}ms profiled"
-        )
     else:
         for finding in report.findings:
             print(finding.render())
@@ -782,18 +732,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             f"deshlint: {report.modules} modules, "
             f"{len(report.findings)} finding(s){suffix}"
         )
-
-    from .lint.perf.profile import LEVEL_ORDER
-    from .lint.sarif import finding_level
-
-    threshold = LEVEL_ORDER[args.min_level]
-    category_of = {rule.id: rule.category for rule in effective}
-    gating = [
-        f
-        for f in report.findings
-        if LEVEL_ORDER[finding_level(f, category_of)] >= threshold
-    ]
-    return 0 if not gating else 1
+    return 1 if report.findings else 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:

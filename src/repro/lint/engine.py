@@ -173,7 +173,7 @@ def _run_rules(
 
 
 def _apply_suppressions(
-    modules: Sequence[ModuleInfo], findings: List[Finding]
+    modules: Sequence[ModuleInfo], findings: List[Finding], known: "set[str]"
 ) -> List[Finding]:
     indexes = {m.path: parse_suppressions(m.source) for m in modules}
     kept: List[Finding] = []
@@ -183,7 +183,9 @@ def _apply_suppressions(
             continue
         kept.append(f)
     for module in modules:
-        kept.extend(indexes[module.path].malformed(module.path, module.lines))
+        kept.extend(
+            indexes[module.path].malformed(module.path, module.lines, known)
+        )
     return kept
 
 
@@ -205,7 +207,10 @@ def lint_modules(
     rules = list(rules) if rules is not None else all_rules()
     findings = list(parse_errors)
     findings.extend(_run_rules(modules, rules, jobs=jobs))
-    findings = _apply_suppressions(modules, findings)
+    # An ``allow`` is judged against the whole registry, not the rules
+    # that ran, so ``--rules R1`` does not flag a valid ``allow[F4]``.
+    known = {rule.id for rule in all_rules()} | {rule.id for rule in rules}
+    findings = _apply_suppressions(modules, findings, known)
     findings.sort()
     if baseline is not None:
         fresh, grandfathered = baseline.filter(findings)

@@ -41,17 +41,7 @@ class RelatedSite:
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``level`` and ``hotness_ms`` are profile-guided annotations filled
-    in by :mod:`repro.lint.perf.profile` when ``repro lint --profile``
-    attributes measured time to the enclosing function: ``level`` is
-    the SARIF severity (``error``/``warning``/``note``; empty means
-    "use the rule category's default") and ``hotness_ms`` the measured
-    milliseconds attributed to the function the finding sits in.  Both
-    are excluded from ordering and from the baseline key so a profile
-    never changes *which* findings exist, only how they rank.
-    """
+    """One rule violation at one source location."""
 
     path: str
     line: int
@@ -60,8 +50,6 @@ class Finding:
     message: str = field(compare=False)
     snippet: str = field(compare=False, default="")
     related: tuple = field(compare=False, default=())
-    level: str = field(compare=False, default="")
-    hotness_ms: float = field(compare=False, default=0.0)
 
     def key(self) -> str:
         """Baseline identity: rule + file + flagged-line content hash."""
@@ -85,8 +73,4 @@ class Finding:
         }
         if self.related:
             out["related"] = [site.to_dict() for site in self.related]
-        if self.level:
-            out["level"] = self.level
-        if self.hotness_ms:
-            out["hotness_ms"] = round(self.hotness_ms, 3)
         return out

@@ -108,20 +108,11 @@ def is_yield_point(stmt: ast.stmt) -> bool:
 
 @dataclass
 class Block:
-    """One basic block: a run of statements with a single entry point.
-
-    ``loops`` names the enclosing loops as a tuple of loop-head block
-    ids, outermost first — a loop's head block is a member of its own
-    loop (its test/target binding re-executes every iteration), while
-    the ``after`` block that control falls into on exit is not.  The
-    perf analyses use this to decide whether a definition site lies
-    inside or outside a given loop.
-    """
+    """One basic block: a run of statements with a single entry point."""
 
     id: int
     stmts: List[ast.stmt] = field(default_factory=list)
     succs: List[int] = field(default_factory=list)
-    loops: "tuple[int, ...]" = ()
 
     def add_succ(self, target: int) -> None:
         """Add an edge to *target*, keeping the successor list deduped."""
@@ -205,10 +196,7 @@ class _Builder:
 
     # ------------------------------------------------------------------
     def _new_block(self) -> Block:
-        block = Block(
-            id=len(self.blocks),
-            loops=tuple(head for head, _ in self.loops),
-        )
+        block = Block(id=len(self.blocks))
         self.blocks.append(block)
         return block
 
@@ -281,9 +269,6 @@ class _Builder:
     def _lower_loop(self, stmt: ast.stmt, current: int) -> int:
         head = self._new_block()
         head.stmts.append(stmt)  # head: evaluates test / binds target
-        # The head re-executes every iteration, so it belongs to its own
-        # loop; ``after`` is created before the push and stays outside.
-        head.loops = head.loops + (head.id,)
         self.blocks[current].add_succ(head.id)
         after = self._new_block()
         self.loops.append((head.id, after.id))

@@ -9,14 +9,12 @@ from one or both hooks:
 * :meth:`Rule.check_project` — whole-program checks that need every
   module at once (R2's stage-purity reachability analysis).
 
-Importing this package loads the built-in rules R1–R5, the dataflow
-rules F1–F6 and the performance rules P1–P3; external code can register
-additional rules before calling the engine.  Every rule carries a
-``category`` — ``"syntactic"`` for AST pattern checks, ``"dataflow"``
-for the CFG/fixpoint analyses under :mod:`repro.lint.flow`, ``"perf"``
-for the CFG-backed performance smells under :mod:`repro.lint.perf` —
-which the CLI uses to group ``--rules list`` output and the benchmark
-uses to time the passes separately.
+Importing this package loads the built-in rules R1–R5 and the dataflow
+rules F1–F6; external code can register additional rules before calling
+the engine.  Every rule carries a ``category`` — ``"syntactic"`` for AST
+pattern checks, ``"dataflow"`` for the CFG/fixpoint analyses under
+:mod:`repro.lint.flow` — which the CLI uses to group ``--rules list``
+output and the benchmark uses to time the passes separately.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 #: Valid rule categories, in display order.
-CATEGORIES = ("syntactic", "dataflow", "perf")
+CATEGORIES = ("syntactic", "dataflow")
 
 
 @dataclass
@@ -100,8 +98,8 @@ class Rule:
     id: str = ""
     #: One-line description shown by ``repro lint --rules list`` and docs.
     summary: str = ""
-    #: Analysis family: "syntactic" (AST patterns), "dataflow" (CFG
-    #: fixpoint analyses) or "perf" (CFG-backed performance smells).
+    #: Analysis family: "syntactic" (AST patterns) or "dataflow" (CFG
+    #: fixpoint analyses).
     category: str = "syntactic"
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
@@ -179,9 +177,4 @@ from ..flow import (  # noqa: E402,F401
     orphan,
     shapeflow,
     stageflow,
-)
-from ..perf import (  # noqa: E402,F401
-    p1_vectorize,
-    p2_hoist,
-    p3_quadratic,
 )

@@ -6,14 +6,13 @@ into inline PR annotations.  The writer emits a single-run log with
 
 * ``tool.driver`` carrying every rule that *ran* (id, category tag,
   summary, a ``helpUri`` into the README rule table and a
-  ``defaultConfiguration.level`` from :data:`CATEGORY_LEVELS`), not
-  just the rules that fired — so a clean run still documents its
-  coverage;
+  ``defaultConfiguration.level`` of :data:`DEFAULT_LEVEL`), not just
+  the rules that fired — so a clean run still documents its coverage;
 * one ``result`` per finding with the rule id, message, a
   ``physicalLocation`` region (line/column) and the snippet; the
-  result ``level`` is the finding's own (profile-escalated) level when
-  set, else the rule category's default — engine pseudo-rules
-  (``SYNTAX``, ``SUP``) always gate as ``error``;
+  result ``level`` is :data:`DEFAULT_LEVEL` for every registered rule,
+  while engine pseudo-rules (``SYNTAX``, ``SUP``) always gate as
+  ``error``;
 * ``relatedLocations`` for multi-site dataflow findings — F4 renders
   the read/await/write interleaving window, F5 the example call chain
   from the coroutine root — so code scanning annotates every hop, not
@@ -37,7 +36,7 @@ from .engine import LintReport
 from .findings import Finding
 from .rules import Rule
 
-__all__ = ["CATEGORY_LEVELS", "finding_level", "sarif_log", "write_sarif"]
+__all__ = ["DEFAULT_LEVEL", "finding_level", "sarif_log", "write_sarif"]
 
 _SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = (
@@ -46,35 +45,19 @@ _SARIF_SCHEMA = (
 )
 _TOOL_URI = "https://github.com/desh-repro/desh-repro"
 
-#: Default SARIF level per rule category.  Perf findings start at
-#: ``note`` and only a profile (``repro lint --profile``) escalates
-#: them — a cold micro-inefficiency must not gate like a correctness
-#: bug.  Syntactic/dataflow rules annotate as ``warning`` in code
-#: scanning; the CLI's own exit gate (``--min-level``, default
-#: ``note``) still fails on any finding.
-CATEGORY_LEVELS = {
-    "syntactic": "warning",
-    "dataflow": "warning",
-    "perf": "note",
-}
+#: SARIF level of every registered rule: findings annotate as warnings
+#: in code scanning, while the CLI's own exit gate fails on any finding.
+DEFAULT_LEVEL = "warning"
 
 #: Engine pseudo-rules outside the registry: unparsable files and
-#: reason-less suppressions always gate hard.
+#: malformed suppressions always gate hard.
 _PSEUDO_LEVELS = {"SYNTAX": "error", "SUP": "error"}
 
 
-def finding_level(finding: Finding, category_of: "dict[str, str]") -> str:
-    """Effective SARIF level of *finding*.
-
-    The finding's own ``level`` (set by profile escalation) wins;
-    otherwise the rule category's default from :data:`CATEGORY_LEVELS`
-    applies, with ``SYNTAX``/``SUP`` pinned to ``error``.
-    """
-    if finding.level:
-        return finding.level
-    if finding.rule in _PSEUDO_LEVELS:
-        return _PSEUDO_LEVELS[finding.rule]
-    return CATEGORY_LEVELS.get(category_of.get(finding.rule, ""), "warning")
+def finding_level(finding: Finding) -> str:
+    """SARIF level of *finding*: ``error`` for ``SYNTAX``/``SUP``, else
+    :data:`DEFAULT_LEVEL`."""
+    return _PSEUDO_LEVELS.get(finding.rule, DEFAULT_LEVEL)
 
 
 def _help_uri(rule_id: str) -> str:
@@ -106,19 +89,16 @@ def sarif_log(
             "name": type(rule).__name__,
             "shortDescription": {"text": rule.summary},
             "helpUri": _help_uri(rule.id),
-            "defaultConfiguration": {
-                "level": CATEGORY_LEVELS.get(rule.category, "warning")
-            },
+            "defaultConfiguration": {"level": DEFAULT_LEVEL},
             "properties": {"category": rule.category},
         }
         for rule in sorted(rules, key=lambda r: r.id)
     ]
-    category_of = {rule.id: rule.category for rule in rules}
     results = []
     for finding in report.findings:
         result = {
             "ruleId": finding.rule,
-            "level": finding_level(finding, category_of),
+            "level": finding_level(finding),
             "message": {"text": finding.message},
             "locations": [
                 {
@@ -137,10 +117,6 @@ def sarif_log(
             ],
             "partialFingerprints": {"deshlintKey/v1": finding.key()},
         }
-        if finding.hotness_ms:
-            result["properties"] = {
-                "hotnessMs": round(finding.hotness_ms, 3)
-            }
         if finding.related:
             result["relatedLocations"] = [
                 {

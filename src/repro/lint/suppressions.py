@@ -2,8 +2,10 @@
 
 A suppression silences findings of the named rule(s) on its own line or,
 when the comment stands alone, on the next code line.  The reason text
-is mandatory — an ``allow`` without one is itself reported (rule
-``SUP``) so suppressions stay auditable.
+is mandatory and every named rule must exist — an ``allow`` without a
+reason, or naming an unregistered rule id (a typo, or a rule since
+deleted), is itself reported (rule ``SUP``) so suppressions stay
+auditable.
 """
 
 from __future__ import annotations
@@ -53,11 +55,25 @@ class SuppressionIndex:
                 return True
         return False
 
-    def malformed(self, path: str, lines: list[str]) -> list[Finding]:
-        """``SUP`` findings for every reason-less ``allow`` comment."""
+    def malformed(
+        self, path: str, lines: list[str], known: "set[str]"
+    ) -> list[Finding]:
+        """``SUP`` findings for every reason-less ``allow`` comment and
+        every one naming a rule id outside *known*."""
         out = []
         for sup in self.suppressions:
-            if sup.reason:
+            problems = []
+            if not sup.reason:
+                problems.append(
+                    "suppression needs a reason: "
+                    f"# deshlint: allow[{','.join(sup.rules)}] <why>"
+                )
+            unknown = [rule for rule in sup.rules if rule not in known]
+            if unknown:
+                problems.append(
+                    f"unknown rule id {', '.join(unknown)} in suppression"
+                )
+            if not problems:
                 continue
             snippet = lines[sup.line - 1] if sup.line <= len(lines) else ""
             out.append(
@@ -66,10 +82,7 @@ class SuppressionIndex:
                     line=sup.line,
                     col=1,
                     rule="SUP",
-                    message=(
-                        "suppression needs a reason: "
-                        f"# deshlint: allow[{','.join(sup.rules)}] <why>"
-                    ),
+                    message="; ".join(problems),
                     snippet=snippet,
                 )
             )

@@ -71,8 +71,8 @@ class Dense:
             )
         out = np.empty((x.shape[0], self.out_dim))
         for j in range(self.out_dim):
-            # deshlint: allow[P1] per-column on purpose — a fused GEMM
-            # would break the batched-vs-sequential bit-identity guarantee
+            # Per-column on purpose: a fused GEMM would break the
+            # batched-vs-sequential bit-identity guarantee.
             np.sum(x * self.W[:, j], axis=1, out=out[:, j])
         out += self.b
         return out

@@ -93,8 +93,8 @@ class CausalConv1d:
         )
         cols = np.empty((B, T, k, C), dtype=np.float64)
         for j in range(k):
-            # deshlint: allow[P1] k shifted views (k is a small constant);
-            # a gather matrix would copy the same data with extra indexing
+            # k shifted views (k is a small constant); a gather matrix
+            # would copy the same data with extra indexing.
             cols[:, :, j, :] = xp[:, j * d : j * d + T, :]
         return cols.reshape(B, T, k * C)
 
@@ -135,7 +135,7 @@ class CausalConv1d:
         pad = (k - 1) * d
         dxp = np.zeros((B, T + pad, C), dtype=np.float64)
         for j in range(k):
-            # deshlint: allow[P1] inverse of the k forward tap views
+            # Inverse of the k forward tap views (k is a small constant).
             dxp[:, j * d : j * d + T, :] += dcols[:, :, j, :]
         return dxp[:, pad:, :]
 

@@ -1,13 +1,11 @@
 """Parallel-execution helpers.
 
-Per-node inference (phase 3) and log parsing are embarrassingly parallel
-across nodes; :mod:`~repro.parallel.pool` provides ordered chunked maps
-over threads (NumPy's BLAS-heavy regions release the GIL) or processes,
-and :mod:`~repro.parallel.sharding` balances per-node event sequences
-into even shards.
+:mod:`~repro.parallel.pool` provides ordered chunked maps over threads
+(NumPy's BLAS-heavy regions release the GIL) or processes.  deshlint's
+``--jobs`` mode fans per-module rule passes out through it, and the F3
+capture rule checks the workers handed to it.
 """
 
 from .pool import ordered_parallel_map
-from .sharding import shard_sequences
 
-__all__ = ["ordered_parallel_map", "shard_sequences"]
+__all__ = ["ordered_parallel_map"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import Evaluator, rolling_origin_evaluation
 from repro.errors import ConfigError
-from repro.parallel import ordered_parallel_map, shard_sequences
+from repro.parallel import ordered_parallel_map
 
 
 class TestRollingOrigin:
@@ -61,7 +61,7 @@ class TestParallelScore:
         ]
         chunks = ordered_parallel_map(
             trained_model.score_sequences,
-            shard_sequences(sequences, 4),
+            [sequences[i::4] for i in range(4)],
             max_workers=4,
         )
         parallel = [v for chunk in chunks for v in chunk]

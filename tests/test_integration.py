@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import Evaluator, lead_time_overall
 from repro.core import Desh
 from repro.io import read_records, write_log
-from repro.parallel import ordered_parallel_map, shard_sequences
+from repro.parallel import ordered_parallel_map
 
 
 class TestEndToEndMetrics:
@@ -73,7 +73,7 @@ class TestParallelScoring:
         ]
         serial = trained_model.predictor.predict_sequences(sequences)
 
-        shards = shard_sequences(sequences, 4)
+        shards = [sequences[i::4] for i in range(4)]
         chunks = ordered_parallel_map(
             trained_model.predictor.predict_sequences, shards, max_workers=4
         )

@@ -73,11 +73,21 @@ class TestSuppressions:
         assert "SUP" in rules  # and the malformed allow is itself flagged
 
     def test_allow_for_other_rule_does_not_suppress(self):
+        # R3 did not run but is registered, so its allow is no SUP finding.
         findings = lint_source(
             "import random  # deshlint: allow[R3] wrong rule id\n",
             rules=get_rules(["R1"]),
         )
         assert {f.rule for f in findings} == {"R1"}
+
+    def test_allow_naming_unknown_rule_is_reported(self):
+        # A typo (F44) or a rule since deleted must not pass silently.
+        findings = lint_source(
+            "x = 1  # deshlint: allow[F44] typo for F4\n",
+            rules=get_rules(["R1"]),
+        )
+        assert [f.rule for f in findings] == ["SUP"]
+        assert "unknown rule id F44" in findings[0].message
 
     def test_allow_multiple_rules_in_one_comment(self):
         index = parse_suppressions(
@@ -231,12 +241,13 @@ class TestCliLint:
         rule_ids = {r["id"] for r in driver["rules"]}
         assert {"R1", "F1", "F2", "F3"} <= rule_ids  # what ran, not what fired
         rule_meta = {r["id"]: r for r in driver["rules"]}
-        assert rule_meta["R1"]["defaultConfiguration"]["level"] == "warning"
-        assert rule_meta["P1"]["defaultConfiguration"]["level"] == "note"
+        assert {
+            meta["defaultConfiguration"]["level"] for meta in rule_meta.values()
+        } == {"warning"}
         assert rule_meta["R1"]["helpUri"].endswith("#rule-r1")
         results = log["runs"][0]["results"]
         assert results[0]["ruleId"] == "R1"
-        # Syntactic findings annotate at their category default.
+        # Registered rules annotate at the one default level.
         assert results[0]["level"] == "warning"
         region = results[0]["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 3
@@ -334,10 +345,12 @@ class TestRegistry:
         from repro.lint import all_rules, rules_by_category
 
         grouped = rules_by_category()
-        assert list(grouped) == ["syntactic", "dataflow", "perf"]
+        assert list(grouped) == ["syntactic", "dataflow"]
         flattened = {r.id for rules in grouped.values() for r in rules}
         assert flattened == {r.id for r in all_rules()}
+        assert {r.id for r in grouped["syntactic"]} == {
+            "R1", "R2", "R3", "R4", "R5",
+        }
         assert {r.id for r in grouped["dataflow"]} == {
             "F1", "F2", "F3", "F4", "F5", "F6",
         }
-        assert {r.id for r in grouped["perf"]} == {"P1", "P2", "P3"}

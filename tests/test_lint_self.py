@@ -1,8 +1,8 @@
 """Tier-1 self-lint gate: the repo's own source must pass deshlint.
 
 This is the same check CI runs via ``repro lint``: every rule (the
-syntactic R1-R5, the dataflow F1-F6 and the perf P1-P3) over the
-installed ``repro`` package, with the checked-in baseline applied.
+syntactic R1-R5 and the dataflow F1-F6) over the installed ``repro``
+package, with the checked-in baseline applied.
 Any new finding turns the suite red.
 """
 
@@ -47,24 +47,22 @@ def test_baseline_carries_no_stale_entries():
 
 
 def test_dataflow_rules_clean_with_empty_baseline():
-    """F1-F6 and P1-P3 hold over the tree without grandfathered debt.
+    """F1-F6 hold over the tree without grandfathered debt.
 
-    The dataflow and perf analyses were introduced with a clean slate:
-    the checked-in baseline must stay empty, and running only F1-F6 +
-    P1-P3 (no baseline at all) must produce zero findings.  If an
-    analysis change starts flagging the repo, fix or
-    ``allow[...]``-annotate the site — don't grandfather it.
+    The dataflow analyses were introduced with a clean slate: the
+    checked-in baseline must stay empty, and running only F1-F6 (no
+    baseline at all) must produce zero findings.  If an analysis change
+    starts flagging the repo, fix or ``allow[...]``-annotate the site —
+    don't grandfather it.
     """
     entries = json.loads(BASELINE_PATH.read_text())["entries"]
     assert entries == [], "lint-baseline.json must stay empty"
     report = lint_paths(
         [PACKAGE_DIR],
-        rules=get_rules(
-            ["F1", "F2", "F3", "F4", "F5", "F6", "P1", "P2", "P3"]
-        ),
+        rules=get_rules(["F1", "F2", "F3", "F4", "F5", "F6"]),
     )
     rendered = "\n".join(f.render() for f in report.findings)
-    assert not report.findings, f"dataflow/perf rules flag the repo:\n{rendered}"
+    assert not report.findings, f"dataflow rules flag the repo:\n{rendered}"
 
 
 def test_parallel_jobs_report_matches_serial():
@@ -87,40 +85,47 @@ def _write_violation_tree(root: Path) -> Path:
     (pkg / "rng.py").write_text(
         '"""Doc."""\n\nimport random\n\n__all__ = []\n'
     )
-    (pkg / "loops.py").write_text(
+    (pkg / "capture.py").write_text(
         textwrap.dedent(
             '''
             """Doc."""
 
-            import numpy as np
+            from repro.parallel.pool import ordered_parallel_map
 
             __all__ = ["go"]
 
 
-            def go(xs: np.ndarray, n: int) -> float:
-                """Sum slowly."""
-                total = 0.0
-                for x in xs:
-                    scale = np.zeros(4)
-                    total += float(x) * 2.0 + scale[0]
-                return total
+            def go(items: list) -> list:
+                """Double in parallel, leaking into a shared list."""
+                results = []
+
+                def worker(item):
+                    results.append(item * 2)
+                    return item
+
+                return ordered_parallel_map(worker, items, max_workers=4)
             '''
         ).lstrip()
     )
-    (pkg / "quad.py").write_text(
+    (pkg / "tasks.py").write_text(
         textwrap.dedent(
             '''
             """Doc."""
 
-            __all__ = ["front"]
+            import asyncio
+
+            __all__ = ["Service"]
 
 
-            def front(items: list) -> list:
-                """Prepend everything."""
-                out: list = []
-                for item in items:
-                    out.insert(0, item)
-                return out
+            class Service:
+                """Starts a background task and drops its handle."""
+
+                async def _run(self) -> None:
+                    await asyncio.sleep(0)
+
+                async def start(self) -> None:
+                    """Spawn the worker."""
+                    asyncio.create_task(self._run())
             '''
         ).lstrip()
     )
@@ -131,10 +136,10 @@ def test_jobs_output_byte_identical_across_hash_seeds(tmp_path):
     """Satellite determinism gate: stdout and SARIF are byte-identical
     between ``--jobs 4`` and serial under PYTHONHASHSEED 0, 1 and 2.
 
-    The perf rules walk dicts of reaching definitions and kind maps —
-    any hash-order leak shows up as reordered findings or messages the
-    moment the hash seed moves, so the whole matrix must collapse to
-    one byte string.
+    The dataflow rules keep sets of captured names and coroutine names
+    — any hash-order leak shows up as reordered findings or messages
+    the moment the hash seed moves, so the whole matrix must collapse
+    to one byte string.
     """
     pkg = _write_violation_tree(tmp_path)
     src = Path(repro.__file__).resolve().parents[1]
@@ -168,7 +173,7 @@ def test_jobs_output_byte_identical_across_hash_seeds(tmp_path):
             outputs.add((run.stdout, sarif.read_bytes()))
     assert len(outputs) == 1, "lint output varies with jobs/hash seed"
     stdout = next(iter(outputs))[0]
-    for rule in ("R1", "P1", "P2", "P3"):
+    for rule in ("R1", "F3", "F6"):
         assert rule in stdout
 
 

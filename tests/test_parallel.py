@@ -1,13 +1,11 @@
-"""Tests for parallel mapping and sharding."""
+"""Tests for the ordered parallel map."""
 
 import os
 
 import pytest
 
 from repro.errors import ConfigError, ParallelError
-from repro.events import EventSequence, ParsedEvent
-from repro.parallel import ordered_parallel_map, shard_sequences
-from repro.topology import CrayNodeId
+from repro.parallel import ordered_parallel_map
 
 
 def square(x):
@@ -90,48 +88,3 @@ class TestOrderedParallelMap:
                 tracked, list(range(100)), max_workers=2, chunk_size=1
             )
         assert len(started) < 100
-
-
-def seq_of_length(node_index, n):
-    node = CrayNodeId(0, 0, 0, 0, node_index)
-    events = [
-        ParsedEvent(timestamp=float(i), phrase_id=0, node=node) for i in range(n)
-    ]
-    return EventSequence(node, events)
-
-
-class TestShardSequences:
-    def test_all_sequences_assigned_once(self):
-        seqs = [seq_of_length(i % 4, 5 + i) for i in range(4)]
-        shards = shard_sequences(seqs, 2)
-        flat = [s for shard in shards for s in shard]
-        assert len(flat) == len(seqs)
-        assert {id(s) for s in flat} == {id(s) for s in seqs}
-
-    def test_balanced_loads(self):
-        # One big sequence and many small ones.
-        seqs = [seq_of_length(0, 100)] + [seq_of_length(i % 4, 10) for i in range(10)]
-        shards = shard_sequences(seqs, 2)
-        loads = [sum(len(s) for s in shard) for shard in shards]
-        assert max(loads) <= 110
-        assert min(loads) >= 90
-
-    def test_more_shards_than_items(self):
-        shards = shard_sequences([seq_of_length(0, 3)], 4)
-        assert sum(bool(s) for s in shards) == 1
-        assert len(shards) == 4
-
-    def test_empty_input(self):
-        assert shard_sequences([], 3) == [[], [], []]
-
-    def test_deterministic(self):
-        seqs = [seq_of_length(i % 4, 5 + 3 * i) for i in range(9)]
-        a = shard_sequences(seqs, 3)
-        b = shard_sequences(seqs, 3)
-        assert [[id(s) for s in shard] for shard in a] == [
-            [id(s) for s in shard] for shard in b
-        ]
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ConfigError):
-            shard_sequences([], 0)

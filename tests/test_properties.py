@@ -13,7 +13,6 @@ from repro.core.deltas import LeadTimeScaler, chain_to_deltas
 from repro.events import EventSequence, Label, ParsedEvent
 from repro.nn.activations import softmax
 from repro.nn.data import sliding_windows_continuous
-from repro.parallel import shard_sequences
 from repro.parsing.tokenizer import mask_message
 from repro.topology import ClusterTopology, CrayNodeId
 
@@ -110,34 +109,6 @@ def test_episode_partition_properties(seq, gap):
         # ...and terminals only ever in final position.
         for event in ep.events[:-1]:
             assert not event.terminal
-
-
-# ----------------------------------------------------------------------
-# sharding
-# ----------------------------------------------------------------------
-@given(st.lists(st.integers(1, 40), min_size=0, max_size=30), st.integers(1, 8))
-@settings(max_examples=60)
-def test_sharding_partitions_and_balances(lengths, shards):
-    seqs = []
-    for i, n in enumerate(lengths):
-        node = CrayNodeId(0, 0, 0, 0, i % 4)
-        seqs.append(
-            EventSequence(
-                node,
-                [
-                    ParsedEvent(timestamp=float(j), phrase_id=0, node=node)
-                    for j in range(n)
-                ],
-            )
-        )
-    out = shard_sequences(seqs, shards)
-    assert len(out) == shards
-    flat = [s for shard in out for s in shard]
-    assert sorted(id(s) for s in flat) == sorted(id(s) for s in seqs)
-    if lengths:
-        loads = [sum(len(s) for s in shard) for shard in out]
-        # LPT guarantee: max load <= optimal * 4/3 + largest item.
-        assert max(loads) <= (sum(lengths) / shards) * (4 / 3) + max(lengths)
 
 
 # ----------------------------------------------------------------------
