@@ -11,19 +11,11 @@ per-prediction cost of the batch-major inference core as a function of
 batch size, against the pre-refactor sequential engine (one training
 forward per window — the paper's deployment mode).  The measured curve
 is recorded in ``BENCH_fig10.json`` at the repo root.
-
-``test_fig10_window_filter_vectorized`` times runtime code on the same
-measured path: phase 3's per-window flag filter (``_passing_windows``)
-against the per-window loop it replaced, recorded in
-``BENCH_p1_dogfood.json``.  The file keeps its name from the since
-retired lint rule that first flagged the loop; the measurement is of
-phase 3, not of the linter.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +26,10 @@ from repro.analysis import (
     render_series,
     render_table,
 )
-from repro.core.phase3 import _passing_windows
 from repro.nn.model import SequenceClassifier
 
 BATCH_SIZES = (1, 8, 64, 256)
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fig10.json"
-DOGFOOD_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_p1_dogfood.json"
-)
 
 
 def test_fig10_cost(benchmark, capsys):
@@ -156,75 +144,3 @@ def test_fig10_batch_throughput(benchmark, capsys):
         batch_sizes=(64,), windows=64, passes=1, seed=0
     ))
 
-
-def _legacy_passing_windows(
-    mses, *, history, pad_len, n_real, flag_position, threshold
-):
-    """The per-window Python loop ``_passing_windows`` replaced.
-
-    Kept verbatim (modulo extraction) as the benchmark baseline: this
-    is the body deshlint P1 flagged on the ``phase3.prediction_ms``
-    path once ``mses`` carried its ndarray annotation.
-    """
-    passing = []
-    for w, mse in enumerate(mses):
-        real_idx = w + history - pad_len
-        if real_idx < flag_position or real_idx >= n_real:
-            continue
-        if mse <= threshold:
-            passing.append((real_idx, float(mse)))
-    return passing
-
-
-def test_fig10_window_filter_vectorized(benchmark, capsys):
-    """The P1 dogfood fix: vectorized flag filter beats the old loop."""
-    rng = np.random.default_rng(0)
-    kwargs = dict(
-        history=5, pad_len=5, n_real=512, flag_position=3, threshold=0.5
-    )
-    mses = rng.uniform(0.0, 2.0, size=512)
-    repeats = 2000
-
-    legacy = _legacy_passing_windows(mses, **kwargs)
-    hits = _passing_windows(mses, **kwargs)
-    # Same windows pass, in the same order — the fix changes cost only.
-    assert [w for w, _ in legacy] == [
-        int(w) + kwargs["history"] - kwargs["pad_len"] for w in hits
-    ]
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        _legacy_passing_windows(mses, **kwargs)
-    loop_us = (time.perf_counter() - start) / repeats * 1e6
-    start = time.perf_counter()
-    for _ in range(repeats):
-        _passing_windows(mses, **kwargs)
-    vec_us = (time.perf_counter() - start) / repeats * 1e6
-    speedup = loop_us / vec_us
-
-    with capsys.disabled():
-        print()
-        print(
-            f"  window filter (512 windows): loop {loop_us:8.1f}us  "
-            f"vectorized {vec_us:8.1f}us  ({speedup:.1f}x)"
-        )
-
-    DOGFOOD_JSON.write_text(
-        json.dumps(
-            {
-                "figure": "p1-dogfood-window-filter",
-                "windows": 512,
-                "loop_us_per_episode": round(loop_us, 2),
-                "vectorized_us_per_episode": round(vec_us, 2),
-                "speedup": round(speedup, 2),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-    # The measured claim behind the checked-in numbers: the vectorized
-    # filter must clearly beat the per-window loop it replaced.
-    assert speedup >= 3.0, f"vectorized filter only {speedup:.2f}x faster"
-
-    benchmark(lambda: _passing_windows(mses, **kwargs))

@@ -2,9 +2,9 @@
 
 The paper's Table 10 compares Desh against baseline predictors on the
 same data; this module runs the same head-to-head for the model zoo:
-every requested backbone family (``lstm`` / ``tcn`` / ``attention``)
-trains and evaluates on every requested synthetic system, and the grid
-reports the Table-6 classification metrics, the mean lead time, and the
+every requested backbone family (``lstm`` / ``tcn``) trains and
+evaluates on every requested synthetic system, and the grid reports
+the Table-6 classification metrics, the mean lead time, and the
 per-prediction latency measured by the existing
 ``phase3.prediction_ms`` histogram.
 

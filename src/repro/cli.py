@@ -20,8 +20,8 @@ Commands
     print the Table-6 metrics plus lead times for the rest.  With
     ``--cache-dir``, training stages and the encoded test stream are
     cached so repeat invocations skip the parse work.  ``--model``
-    selects the model-zoo backbone family (``lstm``/``tcn``/
-    ``attention``) for both ``train`` and ``evaluate``.
+    selects the model-zoo backbone family (``lstm`` or ``tcn``) for
+    both ``train`` and ``evaluate``.
 ``compare``
     The Table-10-style model-zoo grid: train every requested backbone
     family on every requested system and print recall / accuracy /
@@ -72,7 +72,7 @@ Examples
     python -m repro train --log m3.log.gz --fraction 0.3 --model-dir model/
     python -m repro predict --log m3.log.gz --model-dir model/
     python -m repro evaluate --system M4 --seed 9
-    python -m repro compare --models lstm,tcn,attention --system M1
+    python -m repro compare --models lstm,tcn --system M1
     python -m repro chaos --system M1 --profile moderate --chaos-seed 3
     python -m repro trace predict --log m3.log.gz --model-dir model/
     python -m repro metrics --format prom train --log m3.log.gz \
@@ -94,6 +94,7 @@ from .core.deltas import LeadTimeScaler
 from .errors import ConfigError, ReproError
 from .io import chronological_split, read_records, save_ground_truth, write_log
 from .nn.model import SequenceRegressor
+from .nn.registry import registered_models
 from .parsing import LogParser, PhraseVocabulary
 from .simlog import generate_system
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--model",
         default="lstm",
-        help="model-zoo backbone family (lstm, tcn, attention)",
+        help=f"model-zoo backbone family ({', '.join(registered_models())})",
     )
     t.add_argument(
         "--cache-dir",
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--model",
         default="lstm",
-        help="model-zoo backbone family (lstm, tcn, attention)",
+        help=f"model-zoo backbone family ({', '.join(registered_models())})",
     )
     e.add_argument(
         "--cache-dir",
@@ -181,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp.add_argument(
         "--models",
-        default="lstm,tcn,attention",
-        help="comma-separated model-zoo families to compare",
+        default=",".join(registered_models()),
+        help="comma-separated model-zoo families to compare "
+        "(default: all registered)",
     )
     cp.add_argument(
         "--system",

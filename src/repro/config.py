@@ -207,7 +207,7 @@ class DeshConfig:
 
     ``model`` selects the model-zoo backbone family used by the phase-1
     classifier and the phase-2/3 regressor (``lstm`` — the paper's
-    architecture — or ``tcn``/``attention``); ``model_params`` carries
+    architecture — or ``tcn``); ``model_params`` carries
     family-specific hyperparameter overrides, validated against the
     family's registered schema.
     """

@@ -177,11 +177,6 @@ class CFG:
         return "\n".join(lines)
 
 
-#: Statement types whose head joins the current block while their
-#: bodies are lowered into separate blocks.
-_COMPOUND = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.Try, ast.With, ast.AsyncWith)
-
-
 class _Builder:
     """Stateful lowering of one statement list into a :class:`CFG`."""
 

@@ -2,13 +2,13 @@
 
 F1's transfer functions are the *declared* contracts on
 ``Dense``/``Embedding``/``LSTMCell``/``StackedLSTM``/``BatchedScorer``
-and the model-zoo kernels (``CausalConv1d``/``TemporalBlock``/
-``TCNBackbone``/``AttentionLayer``/``AttentionBackbone``):
-what a layer method promises about its input/output shapes.  This module harvests
-them once — via :func:`repro.nn.contracts.declared_contracts`, which
-works under ``python -O`` too — together with each constructor's
-parameter names, so a call site like ``Dense(4, 8, rng)`` can bind the
-spec identifiers ``in_dim=4, out_dim=8`` positionally.
+and the TCN kernels (``CausalConv1d``/``TemporalBlock``/``TCNBackbone``):
+what a layer method promises about its input/output shapes.  This
+module harvests them once — via
+:func:`repro.nn.contracts.declared_contracts`, which works under
+``python -O`` too — together with each constructor's parameter names,
+so a call site like ``Dense(4, 8, rng)`` can bind the spec identifiers
+``in_dim=4, out_dim=8`` positionally.
 
 Harvesting imports :mod:`repro.nn`; when that import is unavailable in
 an embedding environment the table is simply empty and F1 degrades to
@@ -62,7 +62,6 @@ def parse_contract(spec: str):
 def builtin_layer_specs() -> Dict[str, LayerSpec]:
     """The known nn layer classes, keyed by qualified class name."""
     try:
-        from ...nn.attention import AttentionBackbone, AttentionLayer
         from ...nn.batched import BatchedScorer
         from ...nn.contracts import declared_contracts
         from ...nn.layers import Dense, Embedding
@@ -80,8 +79,6 @@ def builtin_layer_specs() -> Dict[str, LayerSpec]:
         CausalConv1d,
         TemporalBlock,
         TCNBackbone,
-        AttentionLayer,
-        AttentionBackbone,
     ):
         methods = {}
         for method, spec in declared_contracts(cls).items():

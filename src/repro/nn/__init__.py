@@ -12,9 +12,8 @@ required pieces directly on NumPy with full backpropagation:
 * :mod:`~repro.nn.model` — the sequence classifier / regressor models
   used by Desh phases 1 and 2-3 respectively,
 * :mod:`~repro.nn.tcn` — causal dilated temporal-convolution backbone,
-* :mod:`~repro.nn.attention` — single-head causal attention backbone,
 * :mod:`~repro.nn.registry` — the model zoo: named backbone families
-  (``lstm``/``tcn``/``attention``) behind one builder + schema registry,
+  (``lstm``/``tcn``) behind one builder + schema registry,
 * :mod:`~repro.nn.contracts` — runtime shape/dtype contracts on the
   layer forward/backward paths (compiled out under ``python -O``),
 * :mod:`~repro.nn.batched` — the batch-major inference scoring core
@@ -26,7 +25,6 @@ loop" idiom.
 """
 
 from .activations import sigmoid, sigmoid_infer, tanh, softmax, relu
-from .attention import AttentionBackbone, AttentionLayer
 from .batched import BatchedScorer
 from .contracts import TensorSpec, parse_spec, tensor_contract
 from .initializers import glorot_uniform, orthogonal
@@ -41,7 +39,6 @@ from .registry import (
     ModelFamily,
     build_backbone,
     get_model,
-    register_model,
     registered_models,
 )
 from .tcn import CausalConv1d, TCNBackbone, TemporalBlock
@@ -52,8 +49,6 @@ __all__ = [
     "TensorSpec",
     "parse_spec",
     "tensor_contract",
-    "AttentionBackbone",
-    "AttentionLayer",
     "CausalConv1d",
     "TCNBackbone",
     "TemporalBlock",
@@ -61,7 +56,6 @@ __all__ = [
     "ModelFamily",
     "build_backbone",
     "get_model",
-    "register_model",
     "registered_models",
     "sigmoid",
     "sigmoid_infer",

@@ -10,7 +10,7 @@
 The backbone — the ``(B, T, D) -> (B, T, H)`` core whose last position
 summarizes the window — is pluggable via the model zoo
 (:mod:`repro.nn.registry`): the paper's stacked LSTM by default, or the
-``tcn`` / ``attention`` families by name.  Both models expose ``fit`` /
+``tcn`` family by name.  Both models expose ``fit`` /
 prediction methods and ``save`` / ``load`` npz round-tripping; saved
 files record the backbone family and rebuild it through the registry.
 """
@@ -94,7 +94,7 @@ class SequenceClassifier:
     For a history window of phrase ids, head ``k`` predicts the phrase
     ``k+1`` positions after the window — the paper's "3-step prediction
     (to predict the next 3 phrases)".  ``backbone`` names a model-zoo
-    family (``lstm``/``tcn``/``attention``); ``backbone_params`` are the
+    family (``lstm``/``tcn``); ``backbone_params`` are the
     family-specific hyperparameter overrides.
     """
 
@@ -371,7 +371,7 @@ class SequenceRegressor:
     Phase 2 trains it on windows of ``(dT, phrase_id)`` 2-state vectors
     with RMSprop (Table 5); phase 3 reuses the trained weights for
     per-node inference.  ``backbone`` names a model-zoo family
-    (``lstm``/``tcn``/``attention``).
+    (``lstm``/``tcn``).
     """
 
     def __init__(

@@ -9,20 +9,21 @@ hyperparameter schema; :func:`build_backbone` is the single constructor
 the sequence models call, keyed by ``DeshConfig.model`` / the CLI
 ``--model`` flag.
 
-Three families ship built in:
+Two families ship built in:
 
-========== ==========================================================
-``lstm``   the paper's stacked LSTM (Table 5) — the default
-``tcn``    causal dilated temporal convolutions with residual blocks
-``attention`` single-head causal self-attention with learned positions
-========== ==========================================================
+======== ============================================================
+``lstm`` the paper's stacked LSTM with BPTT (Table 5) — the default
+``tcn``  causal dilated temporal convolutions with residual blocks;
+         ``kernel_size`` (default 3) sets the taps per convolution,
+         and dilation doubles per level
+======== ============================================================
 
 Every family must pass the shared conformance suite
 (``tests/test_nn_conformance.py``): finite-difference gradient checks
 on all parameters, loss-decreases training smoke, bit-identical
 save/load round trips, online-``update`` support, and declared tensor
-contracts on every forward/backward.  Register a new family only once
-those tests pass against it.
+contracts on every forward/backward.  Add a family to the registry only
+once those tests pass against it.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from .attention import AttentionBackbone
 from .lstm import StackedLSTM
 from .tcn import TCNBackbone
 
 __all__ = [
     "HyperParam",
     "ModelFamily",
-    "register_model",
     "get_model",
     "registered_models",
     "build_backbone",
@@ -49,11 +48,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperParam:
-    """One family-specific hyperparameter: name, default and doc line."""
+    """One family-specific hyperparameter: its name and default."""
 
     name: str
     default: object
-    doc: str
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ class ModelFamily:
     """
 
     name: str
-    summary: str
     backbone: type
     params: Tuple[HyperParam, ...] = ()
 
@@ -97,14 +94,17 @@ class ModelFamily:
         return self.backbone(input_size, hidden_size, num_layers, rng, **params)
 
 
-_REGISTRY: Dict[str, ModelFamily] = {}
-
-
-def register_model(family: ModelFamily) -> None:
-    """Add *family* to the zoo; duplicate names are a configuration bug."""
-    if family.name in _REGISTRY:
-        raise ConfigError(f"model {family.name!r} is already registered")
-    _REGISTRY[family.name] = family
+_REGISTRY: Dict[str, ModelFamily] = {
+    family.name: family
+    for family in (
+        ModelFamily(name="lstm", backbone=StackedLSTM),
+        ModelFamily(
+            name="tcn",
+            backbone=TCNBackbone,
+            params=(HyperParam("kernel_size", 3),),
+        ),
+    )
+}
 
 
 def get_model(name: str) -> ModelFamily:
@@ -139,40 +139,3 @@ def build_backbone(
     return get_model(name).build(
         input_size, hidden_size, num_layers, rng, params
     )
-
-
-register_model(
-    ModelFamily(
-        name="lstm",
-        summary="stacked LSTM with BPTT (the paper's Table-5 model)",
-        backbone=StackedLSTM,
-    )
-)
-register_model(
-    ModelFamily(
-        name="tcn",
-        summary="causal dilated temporal convolutions with residual blocks",
-        backbone=TCNBackbone,
-        params=(
-            HyperParam(
-                "kernel_size",
-                3,
-                "taps per causal convolution (dilation doubles per level)",
-            ),
-        ),
-    )
-)
-register_model(
-    ModelFamily(
-        name="attention",
-        summary="single-head causal self-attention with learned positions",
-        backbone=AttentionBackbone,
-        params=(
-            HyperParam(
-                "max_len",
-                256,
-                "longest supported window (positional table rows)",
-            ),
-        ),
-    )
-)

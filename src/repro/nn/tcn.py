@@ -24,7 +24,9 @@ The backbone implements the model-zoo protocol consumed by
 :class:`~repro.nn.model.SequenceClassifier` /
 :class:`~repro.nn.model.SequenceRegressor`: ``forward`` / ``backward``
 (training, with caches), ``forward_infer`` (cache-free, thread-safe),
-and ``params`` / ``grads`` / ``zero_grad``.
+and ``params`` / ``grads`` / ``zero_grad``.  Each layer has one
+``forward``; its keyword-only ``cache`` flag decides whether the
+backward caches are written, so training and inference share the maths.
 """
 
 from __future__ import annotations
@@ -107,18 +109,17 @@ class CausalConv1d:
         return x
 
     @tensor_contract("(B, T, in_channels):float -> (B, T, out_channels):float")
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Convolve causally; caches the column tensor for backward."""
+    def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Convolve causally.
+
+        With ``cache`` the column tensor is kept for :meth:`backward`;
+        without it nothing is written, so concurrent calls are safe.
+        """
         x = self._validate(x)
         cols = self._im2col(x)
-        self._cols = cols
+        if cache:
+            self._cols = cols
         return cols @ self.W + self.b
-
-    @tensor_contract("(B, T, in_channels):float -> (B, T, out_channels):float")
-    def forward_infer(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free forward for inference (safe to call concurrently)."""
-        x = self._validate(x)
-        return self._im2col(x) @ self.W + self.b
 
     @tensor_contract("(B, T, out_channels):float -> (B, T, in_channels):float")
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -185,23 +186,16 @@ class TemporalBlock:
         self._mask2: Optional[np.ndarray] = None
 
     @tensor_contract("(B, T, in_channels):float -> (B, T, out_channels):float")
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Residual double convolution; caches the ReLU masks."""
-        h = relu(self.conv1.forward(x))
-        self._mask1 = h > 0
-        z = self.conv2.forward(h)
-        res = x if self.skip is None else self.skip.forward(x)
+    def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Residual double convolution; ``cache`` keeps the ReLU masks."""
+        h = relu(self.conv1.forward(x, cache=cache))
+        z = self.conv2.forward(h, cache=cache)
+        res = x if self.skip is None else self.skip.forward(x, cache=cache)
         out = relu(z + res)
-        self._mask2 = out > 0
+        if cache:
+            self._mask1 = h > 0
+            self._mask2 = out > 0
         return out
-
-    @tensor_contract("(B, T, in_channels):float -> (B, T, out_channels):float")
-    def forward_infer(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free forward for inference (safe to call concurrently)."""
-        h = relu(self.conv1.forward_infer(x))
-        z = self.conv2.forward_infer(h)
-        res = x if self.skip is None else self.skip.forward_infer(x)
-        return relu(z + res)
 
     @tensor_contract("(B, T, out_channels):float -> (B, T, in_channels):float")
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -285,11 +279,11 @@ class TCNBackbone:
         return 1 + 2 * (self.kernel_size - 1) * (2**self.num_layers - 1)
 
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run all blocks, caching activations for :meth:`backward`."""
+    def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Run all blocks; ``cache`` keeps activations for :meth:`backward`."""
         h = np.asarray(x, dtype=np.float64)
         for block in self.blocks:
-            h = block.forward(h)
+            h = block.forward(h, cache=cache)
         return h
 
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
@@ -300,10 +294,7 @@ class TCNBackbone:
         row's output is bitwise independent of its batch neighbours
         (per-sequence GEMMs of fixed ``M = T``).
         """
-        h = np.asarray(x, dtype=np.float64)
-        for block in self.blocks:
-            h = block.forward_infer(h)
-        return h
+        return self.forward(x, cache=False)
 
     @tensor_contract("(B, T, hidden_size):float -> (B, T, input_size):float")
     def backward(self, dh: np.ndarray) -> np.ndarray:

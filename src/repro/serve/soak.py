@@ -61,12 +61,6 @@ RECOVERY_SLO_SECONDS = 2.0
 #: Driver retries of one batch before declaring the stream stuck.
 _MAX_RETRIES_PER_BATCH = 200
 
-#: Latency histogram buckets for per-batch ingest time (seconds).
-_INGEST_BUCKETS = (
-    0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
-    0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
-)
-
 
 @dataclass
 class SoakReport:

@@ -39,8 +39,6 @@ __all__ = [
     "from_bluegene",
 ]
 
-_SEVERITIES = ("INFO", "WARNING", "ERROR", "FATAL")
-
 _BG_RE = re.compile(
     r"^(?P<ts>\d+\.\d{6})\s+"
     r"(?P<loc>R\d+-M\d+-N\d+-J\d+-U\d+|SYS)\s+RAS\s+"

@@ -20,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import DeshConfig
 from repro.core import Desh
 from repro.errors import ConfigError
 from repro.nn import (
-    AttentionBackbone,
-    AttentionLayer,
     CausalConv1d,
     SequenceClassifier,
     SequenceRegressor,
@@ -190,10 +189,8 @@ def test_online_update_supported(zoo_model, test_split):
     [
         StackedLSTM,
         TCNBackbone,
-        AttentionBackbone,
         CausalConv1d,
         TemporalBlock,
-        AttentionLayer,
         LSTMCell,
     ],
 )
@@ -222,6 +219,11 @@ def test_unknown_model_raises_configerror_naming_registry():
     message = str(exc.value)
     for name in MODELS:
         assert name in message
+    # A retired family fails the same way, from outside input too.
+    with pytest.raises(ConfigError) as exc:
+        DeshConfig(model="attention")
+    for name in ("lstm", "tcn"):
+        assert name in str(exc.value)
 
 
 def test_unknown_hyperparameter_raises_configerror():

@@ -1,18 +1,20 @@
-"""Property-based tests for the TCN and attention zoo kernels.
+"""Property-based tests for the TCN zoo kernel.
 
-Three invariants, checked under hypothesis:
+Four invariants, checked under hypothesis:
 
 * **causality** — output at step ``t`` is bitwise invariant to
   perturbing inputs at any step ``> t`` (the dilated convolutions are
-  left-padded; the attention mask is strictly lower-triangular and the
-  pooling head is a prefix mean);
+  left-padded);
 * **batch independence** — a window scored inside any batch of size
   >= 2 equals the same window scored in a different batch of size >= 2
   bit-for-bit, the same regime ``test_nn_batched.py`` pins for the
   LSTM (all matmuls keep the batch axis stacked, so per-sequence GEMM
   shapes never depend on ``B``);
 * **dtype/shape stability** — float64 in, float64 out, with
-  :class:`ShapeError` on malformed input.
+  :class:`ShapeError` on malformed input;
+* **cache-free inference** — ``forward_infer`` equals ``forward``
+  bit-for-bit and leaves every training cache as the last ``forward``
+  left it, so the inference kernel can run concurrently.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
-from repro.nn import AttentionBackbone, TCNBackbone, build_backbone
+from repro.nn import TCNBackbone, build_backbone
 
 IN, HID = 3, 6
 
 # Shared instances: hypothesis examples must not pay construction cost.
 _BACKBONES = {
     "tcn": build_backbone("tcn", IN, HID, 2, np.random.default_rng(5)),
-    "attention": build_backbone("attention", IN, HID, 2, np.random.default_rng(5)),
 }
 
 ZOO = sorted(_BACKBONES)
@@ -108,7 +109,33 @@ def test_tcn_receptive_field_covers_dilations():
     assert bb.receptive_field == 29
 
 
-def test_attention_rejects_windows_beyond_max_len():
-    bb = AttentionBackbone(IN, HID, 1, np.random.default_rng(1), max_len=8)
-    with pytest.raises(ShapeError, match="max_len"):
-        bb.forward_infer(np.zeros((2, 9, IN)))
+def _caches(bb: TCNBackbone) -> list:
+    """Every block's backward caches: conv columns and ReLU masks."""
+    out = []
+    for block in bb.blocks:
+        convs = [block.conv1, block.conv2]
+        if block.skip is not None:
+            convs.append(block.skip)
+        out += [conv._cols for conv in convs] + [block._mask1, block._mask2]
+    return out
+
+
+@given(
+    B=st.integers(1, 4),
+    T=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_tcn_forward_infer_equals_forward_and_writes_no_cache(B, T, seed):
+    """The inference path is the training maths minus the cache writes."""
+    bb = TCNBackbone(IN, HID, 2, np.random.default_rng(3))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((B, T, IN))
+    trained = bb.forward(x)
+    before = _caches(bb)
+    snapshot = [c.copy() for c in before]
+    assert np.array_equal(bb.forward_infer(x), trained)
+    bb.forward_infer(rng.standard_normal((B + 1, T + 1, IN)))
+    after = _caches(bb)
+    assert all(a is b for a, b in zip(before, after)), "forward_infer wrote a cache"
+    assert all(np.array_equal(a, c) for a, c in zip(after, snapshot))

@@ -111,17 +111,18 @@ class TestFullModelRoundTrip:
         with pytest.raises(SerializationError, match="metadata"):
             load_model(tmp_path)
 
+    @pytest.mark.parametrize("name", ["lstm-v9-typo", "attention"])
     def test_garbled_model_name_rejected_naming_registry(
-        self, trained_model, tmp_path
+        self, trained_model, tmp_path, name
     ):
-        """A corrupt manifest model name is a ConfigError, not a KeyError."""
+        """A corrupt or retired manifest model name is a ConfigError."""
         from repro.errors import ConfigError
         from repro.nn import registered_models
 
         directory = tmp_path / "garbled"
         save_model(trained_model, directory)
         meta = json.loads((directory / "meta.json").read_text())
-        meta["model"] = "lstm-v9-typo"
+        meta["model"] = name
         (directory / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ConfigError) as exc:
             load_model(directory)
