@@ -7,10 +7,9 @@ applied) in under 15 seconds.  The super-linear pieces are
 timed separately to catch complexity regressions early:
 
 * the R2 reachability pass builds a whole-project call graph;
-* the F1-F3 dataflow pass builds a CFG per function and iterates the
-  shape domain to a fixpoint;
-* the F4-F6 async pass adds the lockset fixpoint per coroutine plus a
-  second call-graph walk rooted at every async def (F5).
+* the F1/F2/F4 dataflow pass builds a CFG per function and iterates
+  the shape domain to a fixpoint;
+* the F4 async pass adds the lockset fixpoint per coroutine.
 
 Every registered rule is also timed *individually* over a single
 pre-parsed module set, so a budget failure names the rules actually
@@ -31,9 +30,9 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 #: Rule ids by analysis family, kept in sync with Rule.category.
 SYNTACTIC = ["R1", "R2", "R3", "R4", "R5"]
-DATAFLOW = ["F1", "F2", "F3", "F4", "F5", "F6"]
-#: The deshrace trio: the async-aware subset of the dataflow family.
-ASYNC_RULES = ["F4", "F5", "F6"]
+DATAFLOW = ["F1", "F2", "F4"]
+#: The async-aware subset of the dataflow family.
+ASYNC_RULES = ["F4"]
 
 
 def _timed_lint(rules=None) -> "tuple[float, int]":
@@ -89,8 +88,8 @@ def test_full_repo_lint_under_budget(capsys):
             f"({modules} modules)"
         )
         print(f"  syntactic (R1-R5)      {syntactic_seconds:6.2f}s")
-        print(f"  dataflow (F1-F6)       {dataflow_seconds:6.2f}s")
-        print(f"    F4-F6 async passes   {async_seconds:6.2f}s")
+        print(f"  dataflow (F1, F2, F4)  {dataflow_seconds:6.2f}s")
+        print(f"    F4 async pass        {async_seconds:6.2f}s")
         print("  per rule (parse excluded):")
         for rule_id in slowest:
             print(f"    {rule_id:<4}                 {per_rule[rule_id]:6.2f}s")

@@ -18,8 +18,7 @@ complete system and every substrate it depends on:
   evaluation,
 * :mod:`repro.baselines` — DeepLog, n-gram and severity-keyword
   comparators,
-* :mod:`repro.parallel`, :mod:`repro.io`, :mod:`repro.topology` —
-  supporting substrates.
+* :mod:`repro.io`, :mod:`repro.topology` — supporting substrates.
 
 Quickstart::
 

@@ -55,13 +55,11 @@ Commands
     accounting, and bit-identity vs a fault-free run.
 ``lint``
     Run the deshlint static-analysis gate — syntactic rules R1-R5 and
-    the dataflow analyses F1-F6 (shape flow, stage artifact flow,
-    parallel capture safety, async atomicity, blocking-call
-    reachability, orphaned coroutines) — over source paths; exits 1 on
-    any finding not covered by an inline suppression or the baseline
-    file.  ``--sarif`` additionally writes a SARIF 2.1.0 log for GitHub
-    code scanning; ``--rules list`` prints the registry grouped by
-    category; ``--jobs N`` analyzes files in parallel.
+    the dataflow analyses F1, F2 and F4 (shape flow, stage artifact
+    flow, async atomicity) — over source paths; exits 1 on any finding
+    not covered by an inline suppression or the baseline file.
+    ``--sarif`` additionally writes a SARIF 2.1.0 log for GitHub code
+    scanning; ``--rules list`` prints the registry grouped by category.
 
 Examples
 --------
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True, help="markdown output path")
 
     li = sub.add_parser(
-        "lint", help="run deshlint static analysis (R1-R5, F1-F6)"
+        "lint", help="run deshlint static analysis (R1-R5, F1, F2, F4)"
     )
     li.add_argument(
         "paths",
@@ -246,14 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="grandfather all current findings into the baseline file",
-    )
-    li.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze N files in parallel (process pool); findings are "
-        "reported in the same deterministic order as a serial run",
     )
 
     tr = sub.add_parser(
@@ -692,9 +682,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     modules, parse_errors = load_modules(paths)
 
     if args.update_baseline:
-        report = lint_modules(
-            modules, rules=rules, parse_errors=parse_errors, jobs=args.jobs
-        )
+        report = lint_modules(modules, rules=rules, parse_errors=parse_errors)
         target = baseline_path or Path("lint-baseline.json")
         Baseline.from_findings(report.findings).save(
             target, findings=report.findings
@@ -709,11 +697,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if baseline_path is not None and not args.no_baseline:
         baseline = Baseline.load(baseline_path)
     report = lint_modules(
-        modules,
-        rules=rules,
-        baseline=baseline,
-        parse_errors=parse_errors,
-        jobs=args.jobs,
+        modules, rules=rules, baseline=baseline, parse_errors=parse_errors
     )
 
     if args.sarif:

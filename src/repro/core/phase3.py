@@ -109,10 +109,6 @@ class PartialScore:
     lead_seconds: float
     error: Optional[PredictionError] = None
 
-    def as_tuple(self) -> "tuple[bool, float, float]":
-        """The legacy ``(flagged, mse, lead_seconds)`` triple."""
-        return self.flagged, self.mse, self.lead_seconds
-
 
 @dataclass(frozen=True)
 class FailurePrediction:

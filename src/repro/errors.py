@@ -26,7 +26,6 @@ __all__ = [
     "SerializationError",
     "IngestError",
     "CheckpointError",
-    "ParallelError",
     "PipelineError",
     "ArtifactError",
     "ContractError",
@@ -107,10 +106,6 @@ class IngestError(ReproError, RuntimeError):
 
 class CheckpointError(ReproError, RuntimeError):
     """A training checkpoint could not be written, read, or verified."""
-
-
-class ParallelError(ReproError, RuntimeError):
-    """A parallel map chunk failed; carries the chunk index for diagnosis."""
 
 
 class PipelineError(ReproError, RuntimeError):

@@ -30,9 +30,9 @@ F1     Shape flow — abstract-interpret numpy/``repro.nn`` code against
 F2     Stage artifact flow — ``ctx.value()`` reads must be declared
        deps with a producer of a compatible type; non-terminal
        artifacts must have a consumer.
-F3     Parallel capture — workers given to ``ordered_parallel_map``
-       must not mutate captured shared state (lists, dicts, ndarrays,
-       RNG generators).
+F4     Async atomicity — no read-modify-write or check-then-act on
+       shared ``self.*`` state across an ``await`` without a common
+       ``asyncio.Lock`` held over the window.
 =====  ==============================================================
 
 Findings are suppressed inline with ``# deshlint: allow[RULE] reason``

@@ -115,58 +115,14 @@ def load_modules(paths: Iterable["str | Path"]) -> "tuple[list[ModuleInfo], list
     return modules, errors
 
 
-def _module_findings_task(
-    payload: "tuple[str, str, str, tuple[str, ...]]",
-) -> List[Finding]:
-    """Pool worker: per-module hooks of the named rules over one file.
-
-    Takes everything it needs through its payload (path, source, dotted
-    module path, rule ids) and returns the findings — no captured
-    state, so the engine itself stays F3-clean.  The source is
-    re-parsed here because AST trees are cheaper to rebuild in the
-    worker than to pickle across a process boundary; fresh rule
-    instances come from the registry, which process workers populate by
-    importing this package.
-    """
-    path, source, module_path, rule_ids = payload
-    from .rules import get_rules
-
-    module = ModuleInfo(
-        path=path,
-        source=source,
-        tree=ast.parse(source, filename=path),
-        module_path=module_path,
-    )
-    out: List[Finding] = []
-    for rule in get_rules(rule_ids):
-        out.extend(rule.check_module(module))
-    return out
-
-
 def _run_rules(
-    modules: Sequence[ModuleInfo], rules: Sequence[Rule], jobs: int = 1
+    modules: Sequence[ModuleInfo], rules: Sequence[Rule]
 ) -> List[Finding]:
     findings: List[Finding] = []
-    registered = {type(rule).id for rule in rules} <= set(
-        rule.id for rule in all_rules()
-    )
-    if jobs > 1 and len(modules) > 1 and registered:
-        from ..parallel.pool import ordered_parallel_map
-
-        rule_ids = tuple(sorted(rule.id for rule in rules))
-        payloads = [
-            (m.path, m.source, m.module_path, rule_ids) for m in modules
-        ]
-        for chunk in ordered_parallel_map(
-            _module_findings_task, payloads, max_workers=jobs, mode="process"
-        ):
-            findings.extend(chunk)
-    else:
-        for module in modules:
-            for rule in rules:
-                findings.extend(rule.check_module(module))
-    # Whole-project hooks (R2/F5 reachability) need every module at
-    # once and run serially in the parent either way.
+    for module in modules:
+        for rule in rules:
+            findings.extend(rule.check_module(module))
+    # Whole-project hooks (R2, F2) need every module at once.
     for rule in rules:
         findings.extend(rule.check_project(modules))
     return findings
@@ -195,18 +151,11 @@ def lint_modules(
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
     parse_errors: Sequence[Finding] = (),
-    jobs: int = 1,
 ) -> LintReport:
-    """Run *rules* over already-parsed modules (the core of the engine).
-
-    ``jobs > 1`` fans the per-module hooks out over a process pool via
-    ``ordered_parallel_map``; project-wide hooks and the final
-    suppression/baseline/sort passes stay in the parent, so the report
-    is byte-identical to a serial run.
-    """
+    """Run *rules* over already-parsed modules (the core of the engine)."""
     rules = list(rules) if rules is not None else all_rules()
     findings = list(parse_errors)
-    findings.extend(_run_rules(modules, rules, jobs=jobs))
+    findings.extend(_run_rules(modules, rules))
     # An ``allow`` is judged against the whole registry, not the rules
     # that ran, so ``--rules R1`` does not flag a valid ``allow[F4]``.
     known = {rule.id for rule in all_rules()} | {rule.id for rule in rules}
@@ -226,16 +175,11 @@ def lint_paths(
     *,
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Lint every Python file under *paths* with the registered rules."""
     modules, parse_errors = load_modules(paths)
     return lint_modules(
-        modules,
-        rules=rules,
-        baseline=baseline,
-        parse_errors=parse_errors,
-        jobs=jobs,
+        modules, rules=rules, baseline=baseline, parse_errors=parse_errors
     )
 
 

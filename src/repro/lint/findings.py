@@ -20,8 +20,8 @@ class RelatedSite:
 
     Dataflow findings are rarely about one line: an F4 atomicity window
     spans the stale read, the await that opens the window, and the
-    write; an F5 chain walks several call sites.  Each hop is one
-    ``RelatedSite`` rendered as a SARIF ``relatedLocation``.
+    write.  Each hop is one ``RelatedSite`` rendered as a SARIF
+    ``relatedLocation``.
     """
 
     path: str

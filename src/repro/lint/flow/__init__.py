@@ -1,9 +1,9 @@
 """deshflow — the deshlint dataflow engine.
 
-PR 3's rules are syntactic: they pattern-match single AST nodes (plus
+The R rules are syntactic: they pattern-match single AST nodes (plus
 R2's call-graph reachability).  This package adds the *semantic* half —
-a from-scratch intraprocedural dataflow framework and three analyses
-built on it, registered as deshlint rules F1-F3:
+a from-scratch intraprocedural dataflow framework and the analyses
+built on it, registered as deshlint rules F1, F2 and F4:
 
 * :mod:`cfg` — per-function control-flow graph builder over the Python
   AST (if/while/for with else clauses, try/except/finally, with,
@@ -18,24 +18,13 @@ built on it, registered as deshlint rules F1-F3:
   through layer call sites, reporting statically-provable mismatches;
 * :mod:`stageflow` — **F2**: producer/consumer consistency of stage
   artifacts across the pipeline DAG;
-* :mod:`capture` — **F3**: mutable shared state captured by callables
-  shipped to ``ordered_parallel_map``.
-
-The **deshrace** trio makes the same machinery async-aware (the CFG
-marks every await point as a yield of control; see
-:func:`~repro.lint.flow.cfg.head_awaits`) and proves concurrency
-properties of the serving layer:
-
 * :mod:`atomicity` — **F4**: check-then-act / read-modify-write
-  sequences on shared ``self.*`` state that span an await point
-  without a common ``asyncio.Lock`` held across the window;
-* :mod:`blocking` — **F5**: call-graph reachability from every
-  ``async def`` to blocking calls (``time.sleep``, synchronous
-  file/socket I/O, heavy NumPy fit entry points);
-* :mod:`orphan` — **F6**: orphaned coroutines — unawaited coroutine
-  calls and dropped ``create_task``/``ensure_future`` handles.
+  sequences on shared ``self.*`` state of the serving layer that span
+  an await point without a common ``asyncio.Lock`` held across the
+  window (the CFG marks every await point as a yield of control; see
+  :func:`~repro.lint.flow.cfg.head_awaits`).
 
-All six plug into the ordinary rule engine: suppressions
+All three plug into the ordinary rule engine: suppressions
 (``# deshlint: allow[F1] reason``), the baseline, ``--rules`` subsets
 and the CI gate apply unchanged.
 """

@@ -10,7 +10,7 @@ from one or both hooks:
   module at once (R2's stage-purity reachability analysis).
 
 Importing this package loads the built-in rules R1–R5 and the dataflow
-rules F1–F6; external code can register additional rules before calling
+rules F1, F2 and F4; external code can register additional rules before calling
 the engine.  Every rule carries a ``category`` — ``"syntactic"`` for AST
 pattern checks, ``"dataflow"`` for the CFG/fixpoint analyses under
 :mod:`repro.lint.flow` — which the CLI uses to group ``--rules list``
@@ -170,11 +170,4 @@ def rules_by_category() -> dict[str, list[Rule]]:
 # under repro.lint.flow (they share the CFG/solver machinery) but hook
 # into the same registry.
 from . import api, determinism, exceptions, purity, rng  # noqa: E402,F401
-from ..flow import (  # noqa: E402,F401
-    atomicity,
-    blocking,
-    capture,
-    orphan,
-    shapeflow,
-    stageflow,
-)
+from ..flow import atomicity, shapeflow, stageflow  # noqa: E402,F401

@@ -166,15 +166,12 @@ class _Project:
     """Whole-program index: functions, classes, and name resolution."""
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        self.modules = modules
         self.funcs: Dict[str, _Func] = {}
         self.by_method_name: Dict[str, Set[str]] = {}
         self.class_index: Set[Tuple[str, str]] = set()
-        self.imaps: Dict[str, ImportMap] = {}
         for m in modules:
             mod = m.module_path or m.path
             imap = build_import_map(m.tree, mod)
-            self.imaps[mod] = imap
             for cls in _class_defs(m.tree):
                 self.class_index.add((mod, cls.name))
             for func in _functions_of(m, imap):

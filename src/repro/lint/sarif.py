@@ -14,9 +14,8 @@ into inline PR annotations.  The writer emits a single-run log with
   while engine pseudo-rules (``SYNTAX``, ``SUP``) always gate as
   ``error``;
 * ``relatedLocations`` for multi-site dataflow findings — F4 renders
-  the read/await/write interleaving window, F5 the example call chain
-  from the coroutine root — so code scanning annotates every hop, not
-  just the reporting line;
+  the read/await/write interleaving window — so code scanning
+  annotates every hop, not just the reporting line;
 * ``partialFingerprints`` reusing :meth:`Finding.key` — the same
   content-keyed identity the baseline uses — so code-scanning alert
   tracking survives unrelated edits exactly like the baseline does.

@@ -10,7 +10,7 @@ models' own ``fit`` (one epoch per call, warm state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from ..obs import current_tracer, metrics_registry
 from .optimizers import _OptimizerBase
 
 __all__ = ["EarlyStoppingConfig", "TrainingHistory", "fit_with_validation"]
-
-
-class _Fittable(Protocol):  # pragma: no cover - typing aid
-    def fit(self, x, y, *, epochs, batch_size, optimizer, grad_clip, rng): ...
 
 
 @dataclass(frozen=True)

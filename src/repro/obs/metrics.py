@@ -7,7 +7,7 @@ Zero-dependency and exact by construction:
 * :class:`Histogram` keeps fixed-boundary bucket counts plus an
   **exact** running sum (a :class:`fractions.Fraction`), so merging is
   associative and commutative *bit-for-bit* — per-worker histograms
-  recorded under ``ordered_parallel_map`` fan-out merge to exactly the
+  recorded under a thread-pool fan-out merge to exactly the
   sequential result, which the concurrency test asserts;
 * quantiles (p50/p95/p99) are interpolated from the bucket counts,
   clamped to the observed min/max, and monotone in the quantile rank.

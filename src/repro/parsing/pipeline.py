@@ -206,12 +206,6 @@ class LogParser:
             raise NotFittedError(f"no label for phrase id {phrase_id}")
         return self._labels[phrase_id]
 
-    def is_terminal_id(self, phrase_id: int) -> bool:
-        """Whether the phrase id marks a node going down."""
-        if not 0 <= phrase_id < len(self._terminal):
-            raise NotFittedError(f"no terminal flag for phrase id {phrase_id}")
-        return self._terminal[phrase_id]
-
     def terminal_ids(self) -> list[int]:
         """Phrase ids of terminal (node-down) messages."""
         return [i for i, t in enumerate(self._terminal) if t]

@@ -158,10 +158,6 @@ class GroundTruth:
         self.failures.sort(key=lambda f: f.terminal_time)
         self._terminal_times = [f.terminal_time for f in self.failures]
 
-    def failures_on(self, node: CrayNodeId) -> list[FailureEvent]:
-        """All injected failures of one node."""
-        return [f for f in self.failures if f.node == node]
-
     def failure_near(
         self, node: CrayNodeId, when: float, *, lookahead: float = 600.0
     ) -> Optional[FailureEvent]:

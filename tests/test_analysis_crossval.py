@@ -1,10 +1,11 @@
 """Tests for rolling-origin evaluation and parallel scoring."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.analysis import Evaluator, rolling_origin_evaluation
 from repro.errors import ConfigError
-from repro.parallel import ordered_parallel_map
 
 
 class TestRollingOrigin:
@@ -59,12 +60,12 @@ class TestParallelScore:
         sequences = [
             s for s in parsed.by_node().values() if s.node is not None
         ]
-        chunks = ordered_parallel_map(
-            trained_model.score_sequences,
-            [sequences[i::4] for i in range(4)],
-            max_workers=4,
-        )
-        parallel = [v for chunk in chunks for v in chunk]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            chunks = pool.map(
+                trained_model.score_sequences,
+                [sequences[i::4] for i in range(4)],
+            )
+            parallel = [v for chunk in chunks for v in chunk]
         key = lambda v: (str(v.node), v.episode.start_time)
         assert sorted((key(v), v.flagged, round(v.mse, 9)) for v in serial) == sorted(
             (key(v), v.flagged, round(v.mse, 9)) for v in parallel

@@ -23,7 +23,6 @@ ALL_ERRORS = [
     errors.SerializationError,
     errors.IngestError,
     errors.CheckpointError,
-    errors.ParallelError,
 ]
 
 
@@ -55,9 +54,7 @@ def test_not_fitted_error_is_runtime_error():
     assert issubclass(errors.NotFittedError, RuntimeError)
 
 
-@pytest.mark.parametrize(
-    "exc", [errors.IngestError, errors.CheckpointError, errors.ParallelError]
-)
+@pytest.mark.parametrize("exc", [errors.IngestError, errors.CheckpointError])
 def test_resilience_errors_are_runtime_errors(exc):
     """Callers using stdlib idioms still catch operational failures."""
     assert issubclass(exc, RuntimeError)

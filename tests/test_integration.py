@@ -6,13 +6,14 @@ integration seams: file round-trips feeding training, parallel scoring
 equivalence, and ground-truth-based metric sanity.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.analysis import Evaluator, lead_time_overall
 from repro.core import Desh
 from repro.io import read_records, write_log
-from repro.parallel import ordered_parallel_map
 
 
 class TestEndToEndMetrics:
@@ -74,10 +75,9 @@ class TestParallelScoring:
         serial = trained_model.predictor.predict_sequences(sequences)
 
         shards = [sequences[i::4] for i in range(4)]
-        chunks = ordered_parallel_map(
-            trained_model.predictor.predict_sequences, shards, max_workers=4
-        )
-        parallel = [v for chunk in chunks for v in chunk]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            chunks = pool.map(trained_model.predictor.predict_sequences, shards)
+            parallel = [v for chunk in chunks for v in chunk]
 
         key = lambda v: (str(v.node), v.episode.start_time)
         assert sorted(

@@ -169,9 +169,11 @@ class TestDriver:
         with pytest.raises(LintError):
             lint_paths([tmp_path / "nope"])
 
-    def test_unknown_rule_id_raises(self):
+    @pytest.mark.parametrize("rule_id", ["R99", "F3", "F5", "F6"])
+    def test_unknown_rule_id_raises(self, rule_id):
+        # F3, F5 and F6 are retired ids: asking for them is a usage error.
         with pytest.raises(LintError):
-            get_rules(["R99"])
+            get_rules([rule_id])
 
     def test_directory_walk_skips_pycache(self, tmp_path):
         (tmp_path / "ok.py").write_text('"""Doc."""\n')
@@ -239,7 +241,7 @@ class TestCliLint:
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "deshlint"
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"R1", "F1", "F2", "F3"} <= rule_ids  # what ran, not what fired
+        assert {"R1", "F1", "F2", "F4"} <= rule_ids  # what ran, not what fired
         rule_meta = {r["id"]: r for r in driver["rules"]}
         assert {
             meta["defaultConfiguration"]["level"] for meta in rule_meta.values()
@@ -308,7 +310,7 @@ class TestCliLint:
         assert run.returncode == 0
         out = run.stdout
         assert out.index("syntactic:") < out.index("dataflow:")
-        for rule_id in ("R1", "R5", "F1", "F3"):
+        for rule_id in ("R1", "R5", "F1", "F4"):
             assert f"\n  {rule_id} " in out
         # F-rules listed under the dataflow heading, not before it.
         assert out.index("dataflow:") < out.index("\n  F1 ")
@@ -351,6 +353,4 @@ class TestRegistry:
         assert {r.id for r in grouped["syntactic"]} == {
             "R1", "R2", "R3", "R4", "R5",
         }
-        assert {r.id for r in grouped["dataflow"]} == {
-            "F1", "F2", "F3", "F4", "F5", "F6",
-        }
+        assert {r.id for r in grouped["dataflow"]} == {"F1", "F2", "F4"}

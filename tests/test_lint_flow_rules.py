@@ -1,12 +1,11 @@
 """Behavioural tests for the dataflow rules F1 (shape flow), F2 (stage
-artifact flow), F3 (parallel capture), F4 (async atomicity), F5
-(blocking calls reachable from coroutines) and F6 (orphaned coroutines).
+artifact flow) and F4 (async atomicity).
 
 Every analysis gets at least one bad snippet proving it fires and one
 good snippet proving it stays silent; F1's good snippets double as
 no-false-positive regression cases for the provable-only policy
-(symbolic dims are never reported), and F4/F5's good snippets pin the
-lock-protected / to_thread / sync-boundary counterparts.
+(symbolic dims are never reported), and F4's good snippets pin the
+lock-protected counterparts.
 """
 
 import textwrap
@@ -337,143 +336,6 @@ def test_f2_accepts_ctx_inputs_subscript_reads():
 
 
 # ----------------------------------------------------------------------
-# F3 — parallel capture
-# ----------------------------------------------------------------------
-def test_f3_fires_on_closure_list_append():
-    findings = _lint(
-        """
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(items):
-            results = []
-
-            def worker(item):
-                results.append(item * 2)
-                return item
-
-            return ordered_parallel_map(worker, items, max_workers=4)
-        """,
-        "F3",
-    )
-    assert [f.rule for f in findings] == ["F3"]
-    assert "'results'" in findings[0].message
-    assert ".append()" in findings[0].message
-
-
-def test_f3_fires_on_lambda_dict_store():
-    findings = _lint(
-        """
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(items):
-            seen = {}
-            return ordered_parallel_map(
-                lambda item: seen.update({item: True}), items, max_workers=2
-            )
-        """,
-        "F3",
-    )
-    assert len(findings) == 1
-    assert "'seen'" in findings[0].message
-
-
-def test_f3_fires_on_shared_array_subscript_store():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(items):
-            buf = np.zeros(len(items))
-
-            def worker(pair):
-                i, value = pair
-                buf[i] = value
-                return value
-
-            return ordered_parallel_map(worker, list(enumerate(items)))
-        """,
-        "F3",
-    )
-    assert len(findings) == 1
-    assert "assigns into" in findings[0].message
-
-
-def test_f3_fires_on_captured_rng_draw():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(items):
-            rng = np.random.default_rng(0)
-
-            def worker(item):
-                return item + rng.normal()
-
-            return ordered_parallel_map(worker, items)
-        """,
-        "F3",
-    )
-    assert len(findings) == 1
-    assert "advances the RNG state" in findings[0].message
-
-
-def test_f3_fires_through_functools_partial():
-    findings = _lint(
-        """
-        import functools
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(items):
-            acc = []
-
-            def worker(scale, item):
-                acc.append(item * scale)
-                return item
-
-            return ordered_parallel_map(functools.partial(worker, 2), items)
-        """,
-        "F3",
-    )
-    assert len(findings) == 1
-    assert "'acc'" in findings[0].message
-
-
-def test_f3_silent_on_pure_worker_and_local_state():
-    findings = _lint(
-        """
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(items):
-            def worker(item):
-                out = []
-                out.append(item * 2)
-                return out
-
-            return ordered_parallel_map(worker, items, max_workers=4)
-        """,
-        "F3",
-    )
-    assert findings == []
-
-
-def test_f3_silent_on_bound_method_worker():
-    # The receiver of a bound method is explicit at the call site; the
-    # rule only analyzes closures it can see the body of.
-    findings = _lint(
-        """
-        from repro.parallel.pool import ordered_parallel_map
-
-        def go(predictor, shards):
-            return ordered_parallel_map(predictor.predict, shards)
-        """,
-        "F3",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
 # F4 — async atomicity
 # ----------------------------------------------------------------------
 def test_f4_fires_on_minimal_rmw_across_await():
@@ -606,166 +468,5 @@ def test_f4_single_writer_justification_suppresses():
                     await self._event.wait()
         """,
         "F4",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# F5 — blocking calls reachable from coroutines
-# ----------------------------------------------------------------------
-def test_f5_fires_on_sleep_behind_two_sync_layers():
-    findings = _lint(
-        """
-        import time
-
-        def _io():
-            time.sleep(5)
-
-        def _mid():
-            return _io()
-
-        async def serve_forever():
-            _mid()
-        """,
-        "F5",
-    )
-    assert [f.rule for f in findings] == ["F5"]
-    message = findings[0].message
-    assert "time.sleep" in message
-    # the example call chain names every hop from the coroutine root
-    assert "serve_forever -> _mid -> _io" in message
-    assert len(findings[0].related) == 3
-
-
-def test_f5_fires_on_heavy_fit_entry_point():
-    findings = _lint(
-        """
-        class Model:
-            def fit(self, x):
-                return x
-
-        class Service:
-            async def retrain(self, model, data):
-                model.fit(data)
-        """,
-        "F5",
-    )
-    assert len(findings) == 1
-    assert "Model.fit" in findings[0].message
-    assert "heavy" in findings[0].message
-
-
-def test_f5_silent_when_blocking_work_is_behind_to_thread():
-    findings = _lint(
-        """
-        import asyncio
-        import time
-
-        def _io():
-            time.sleep(5)
-
-        async def serve_forever():
-            await asyncio.to_thread(_io)
-        """,
-        "F5",
-    )
-    assert findings == []
-
-
-def test_f5_silent_on_blocking_code_unreachable_from_async():
-    findings = _lint(
-        """
-        import time
-
-        def housekeeping():
-            time.sleep(1)
-
-        async def tick():
-            return 2
-        """,
-        "F5",
-    )
-    assert findings == []
-
-
-def test_f5_sync_boundary_allowlist_cuts_the_walk():
-    # save_service_checkpoint is a reviewed synchronous boundary: its
-    # file I/O is deliberate and must not flag.
-    findings = _lint(
-        """
-        def save_service_checkpoint(path, state):
-            with open(path, "w") as fh:
-                fh.write(str(state))
-
-        async def snapshot():
-            return save_service_checkpoint("ckpt.json", {})
-        """,
-        "F5",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# F6 — orphaned coroutines
-# ----------------------------------------------------------------------
-def test_f6_fires_on_dropped_create_task_handle():
-    findings = _lint(
-        """
-        import asyncio
-
-        class Service:
-            async def _run(self):
-                await asyncio.sleep(0)
-
-            async def start(self):
-                asyncio.create_task(self._run())
-        """,
-        "F6",
-    )
-    assert [f.rule for f in findings] == ["F6"]
-    assert "create_task" in findings[0].message
-    assert "dropped" in findings[0].message
-
-
-def test_f6_fires_on_unawaited_coroutine_calls():
-    findings = _lint(
-        """
-        import asyncio
-
-        class Service:
-            async def _run(self):
-                await asyncio.sleep(0)
-
-            async def poke(self):
-                self._run()
-
-        async def main():
-            asyncio.sleep(1)
-        """,
-        "F6",
-    )
-    assert len(findings) == 2
-    assert all("never awaited" in f.message for f in findings)
-
-
-def test_f6_silent_on_held_handles_and_awaited_calls():
-    findings = _lint(
-        """
-        import asyncio
-
-        class Service:
-            async def _run(self):
-                await asyncio.sleep(0)
-
-            async def start(self):
-                self._task = asyncio.create_task(self._run())
-
-            async def poke(self):
-                await self._run()
-
-            async def fanout(self):
-                await asyncio.gather(self._run(), self._run())
-        """,
-        "F6",
     )
     assert findings == []

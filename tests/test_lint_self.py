@@ -1,7 +1,7 @@
 """Tier-1 self-lint gate: the repo's own source must pass deshlint.
 
 This is the same check CI runs via ``repro lint``: every rule (the
-syntactic R1-R5 and the dataflow F1-F6) over the installed ``repro``
+syntactic R1-R5 and the dataflow F1, F2, F4) over the installed ``repro``
 package, with the checked-in baseline applied.
 Any new finding turns the suite red.
 """
@@ -47,11 +47,11 @@ def test_baseline_carries_no_stale_entries():
 
 
 def test_dataflow_rules_clean_with_empty_baseline():
-    """F1-F6 hold over the tree without grandfathered debt.
+    """F1, F2 and F4 hold over the tree without grandfathered debt.
 
     The dataflow analyses were introduced with a clean slate: the
-    checked-in baseline must stay empty, and running only F1-F6 (no
-    baseline at all) must produce zero findings.  If an analysis change
+    checked-in baseline must stay empty, and running only the F rules
+    (no baseline at all) must produce zero findings.  If an analysis change
     starts flagging the repo, fix or ``allow[...]``-annotate the site —
     don't grandfather it.
     """
@@ -59,22 +59,10 @@ def test_dataflow_rules_clean_with_empty_baseline():
     assert entries == [], "lint-baseline.json must stay empty"
     report = lint_paths(
         [PACKAGE_DIR],
-        rules=get_rules(["F1", "F2", "F3", "F4", "F5", "F6"]),
+        rules=get_rules(["F1", "F2", "F4"]),
     )
     rendered = "\n".join(f.render() for f in report.findings)
     assert not report.findings, f"dataflow rules flag the repo:\n{rendered}"
-
-
-def test_parallel_jobs_report_matches_serial():
-    """``--jobs N`` must be a pure speedup: identical findings, order
-    included, to the serial run — the determinism contract of
-    ``ordered_parallel_map`` extended to the lint engine itself."""
-    serial = lint_paths([PACKAGE_DIR / "serve"], jobs=1)
-    parallel = lint_paths([PACKAGE_DIR / "serve"], jobs=4)
-    assert [f.to_dict() for f in serial.findings] == [
-        f.to_dict() for f in parallel.findings
-    ]
-    assert serial.modules == parallel.modules
 
 
 def _write_violation_tree(root: Path) -> Path:
@@ -85,95 +73,107 @@ def _write_violation_tree(root: Path) -> Path:
     (pkg / "rng.py").write_text(
         '"""Doc."""\n\nimport random\n\n__all__ = []\n'
     )
-    (pkg / "capture.py").write_text(
-        textwrap.dedent(
-            '''
-            """Doc."""
-
-            from repro.parallel.pool import ordered_parallel_map
-
-            __all__ = ["go"]
-
-
-            def go(items: list) -> list:
-                """Double in parallel, leaking into a shared list."""
-                results = []
-
-                def worker(item):
-                    results.append(item * 2)
-                    return item
-
-                return ordered_parallel_map(worker, items, max_workers=4)
-            '''
-        ).lstrip()
-    )
-    (pkg / "tasks.py").write_text(
+    (pkg / "registry.py").write_text(
         textwrap.dedent(
             '''
             """Doc."""
 
             import asyncio
 
-            __all__ = ["Service"]
+            __all__ = ["Registry"]
 
 
-            class Service:
-                """Starts a background task and drops its handle."""
+            class Registry:
+                """Admits each key once, racily."""
 
-                async def _run(self) -> None:
-                    await asyncio.sleep(0)
+                def __init__(self) -> None:
+                    self.seen: set = set()
 
-                async def start(self) -> None:
-                    """Spawn the worker."""
-                    asyncio.create_task(self._run())
+                async def admit(self, key: str) -> None:
+                    """Check, yield, then act on the shared set."""
+                    if key not in self.seen:
+                        await asyncio.sleep(0)
+                        self.seen.add(key)
+            '''
+        ).lstrip()
+    )
+    (pkg / "stages.py").write_text(
+        textwrap.dedent(
+            '''
+            """Doc."""
+
+            from repro.pipeline.stage import Stage
+
+            __all__ = ["AStage", "BStage"]
+
+
+            class AStage(Stage):
+                """Produces artifact a."""
+
+                name = "a"
+                deps = ()
+                terminal = False
+
+                def run(self, ctx):
+                    """Make a."""
+                    return 1
+
+
+            class BStage(Stage):
+                """Reads a without declaring it."""
+
+                name = "b"
+                deps = ()
+                terminal = True
+
+                def run(self, ctx):
+                    """Read a."""
+                    return ctx.value("a")
             '''
         ).lstrip()
     )
     return pkg
 
 
-def test_jobs_output_byte_identical_across_hash_seeds(tmp_path):
-    """Satellite determinism gate: stdout and SARIF are byte-identical
-    between ``--jobs 4`` and serial under PYTHONHASHSEED 0, 1 and 2.
+def test_lint_output_byte_identical_across_hash_seeds(tmp_path):
+    """Determinism gate: stdout and SARIF are byte-identical under
+    PYTHONHASHSEED 0, 1 and 2.
 
-    The dataflow rules keep sets of captured names and coroutine names
-    — any hash-order leak shows up as reordered findings or messages
-    the moment the hash seed moves, so the whole matrix must collapse
-    to one byte string.
+    The dataflow rules walk dicts and sets of attribute names, stage
+    names and deps — any hash-order leak shows up as reordered findings
+    or messages the moment the hash seed moves, so every run must
+    collapse to one byte string.
     """
     pkg = _write_violation_tree(tmp_path)
     src = Path(repro.__file__).resolve().parents[1]
     outputs = set()
     for seed in ("0", "1", "2"):
-        for jobs in ("1", "4"):
-            sarif = tmp_path / f"seed{seed}-jobs{jobs}.sarif"
-            run = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.cli",
-                    "lint",
-                    str(pkg),
-                    "--no-baseline",
-                    "--jobs",
-                    jobs,
-                    "--sarif",
-                    str(sarif),
-                ],
-                cwd=tmp_path,
-                env={
-                    "PYTHONPATH": str(src),
-                    "PYTHONHASHSEED": seed,
-                    "PATH": "/usr/bin:/bin",
-                },
-                capture_output=True,
-                text=True,
-            )
-            assert run.returncode == 1, run.stderr
-            outputs.add((run.stdout, sarif.read_bytes()))
-    assert len(outputs) == 1, "lint output varies with jobs/hash seed"
+        sarif = tmp_path / f"seed{seed}.sarif"
+        run = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "lint",
+                str(pkg),
+                "--no-baseline",
+                "--sarif",
+                str(sarif),
+            ],
+            cwd=tmp_path,
+            env={
+                "PYTHONPATH": str(src),
+                "PYTHONHASHSEED": seed,
+                "PATH": "/usr/bin:/bin",
+            },
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 1, run.stderr
+        outputs.add((run.stdout, sarif.read_bytes()))
+    assert len(outputs) == 1, "lint output varies with the hash seed"
     stdout = next(iter(outputs))[0]
-    for rule in ("R1", "F3", "F6"):
+    for rule in ("R1", "F2", "F4"):
         assert rule in stdout
 
 

@@ -1,17 +1,17 @@
-"""Concurrency tests: per-worker metrics merge exactly; F3 stays clean.
+"""Concurrency tests: per-worker metrics merge exactly.
 
 The supported fan-out pattern is *share nothing, merge after*: each
-``ordered_parallel_map`` worker records into its own registry (returned
-as part of its result — never mutated through a closure, which deshlint
-F3 forbids) and the shards are merged afterwards.  Exact Fraction sums
-make the merged result equal the sequential run bit-for-bit, in any
-merge order.
+thread-pool worker records into its own registry (returned as part of
+its result, never mutated through a closure) and the shards are merged
+afterwards.  Exact Fraction sums make the merged result equal the
+sequential run bit-for-bit, in any merge order.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.obs import Histogram, MetricsRegistry
-from repro.parallel import ordered_parallel_map
 
 BOUNDS = (0.1, 0.5, 1.0, 5.0, 25.0)
 
@@ -46,12 +46,15 @@ def _hist_state(h: Histogram):
     return (h.bucket_counts(), h.count, h.sum_exact, h.min, h.max)
 
 
+def _thread_map(fn, items, workers):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def test_parallel_worker_registries_merge_to_sequential_exactly():
     sequential = _sequential()
     for workers in (2, 3, 8):
-        shards = ordered_parallel_map(
-            _score_batch, LATENCIES, max_workers=workers, chunk_size=2
-        )
+        shards = _thread_map(_score_batch, LATENCIES, workers)
         merged = MetricsRegistry()
         for shard in shards:
             merged.merge(shard)
@@ -65,7 +68,7 @@ def test_parallel_worker_registries_merge_to_sequential_exactly():
 
 
 def test_merge_order_does_not_matter():
-    shards = ordered_parallel_map(_score_batch, LATENCIES, max_workers=4)
+    shards = _thread_map(_score_batch, LATENCIES, 4)
     forward, backward = MetricsRegistry(), MetricsRegistry()
     for shard in shards:
         forward.merge(shard)
@@ -86,18 +89,6 @@ def test_single_shared_histogram_is_thread_safe():
             hist.observe(value)
         return len(batch)
 
-    counts = ordered_parallel_map(
-        observe_batch, LATENCIES, max_workers=8, chunk_size=1
-    )
+    counts = _thread_map(observe_batch, LATENCIES, 8)
     assert hist.count == sum(counts)
 
-
-def test_obs_module_is_f3_clean():
-    """deshlint's parallel-capture rule finds nothing in repro.obs."""
-    import repro.obs
-    from repro.lint import get_rules, lint_paths
-
-    report = lint_paths(
-        [repro.obs.__path__[0]], rules=get_rules(["F3"])
-    )
-    assert report.findings == []
