@@ -4,8 +4,10 @@ The paper evaluates offline ("the training phases 1 and 2 are performed
 offline"), but its motivation is operational: warn *before* the node
 dies so jobs can be migrated.  :class:`StreamingMonitor` provides that
 deployment surface over a trained model — it consumes raw log records
-in timestamp order, maintains per-node episode buffers, scores each
-growing episode with the phase-3 online mode, and emits one
+as they arrive, maintains per-node episode buffers in time order (an
+anomalous event that arrives late is inserted at its time-sorted
+position, so one reordered line cannot poison a node's window stack),
+scores each growing episode with the phase-3 online mode, and emits one
 :class:`~repro.core.alerts.FailureWarning` per matched episode.
 
 The per-episode single-alert rule mirrors real alerting practice: once a
@@ -22,8 +24,8 @@ The monitor is hardened for unattended production use:
   skip** instead of killing the feed loop — one poisoned episode must
   not take down the monitor for every other node;
 * raw lines can be fed directly through the hardened ingest front-end
-  (:meth:`feed_line` / :meth:`run_lines`), which quarantines
-  unparseable input against an error budget;
+  (:meth:`feed_line_batch`), which quarantines unparseable input
+  against an error budget;
 * :meth:`health` returns a stats snapshot for operator dashboards,
   including a coarse ``status`` that transitions healthy → degraded on
   a scoring failure and degraded → recovered after a configurable run
@@ -37,8 +39,10 @@ The monitor is hardened for unattended production use:
 
 Feeding is **batch-major**: :meth:`feed_batch` accumulates a batch of
 records' pending per-node updates and flushes them through *one* batched
-LSTM forward (:meth:`Phase3Predictor.score_partial_batch`) instead of
-one forward per record.  :meth:`feed` is the batch of one.  The batched
+LSTM forward (:meth:`Phase3Predictor.score_partial_batch`, the only
+online scoring path) instead of one forward per record.  :meth:`feed`
+is the batch of one, and :meth:`feed_line_batch` puts the hardened
+ingest front-end ahead of :meth:`feed_batch`.  The batched
 flush is engineered to be observably identical to sequential feeding —
 same scores bit for bit, same warning order, same counters, same health
 transitions, same ``state_dict`` — see the module's flush notes below.
@@ -59,11 +63,12 @@ replay if an earlier record's flag latched the node first.
 
 from __future__ import annotations
 
+import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..errors import ConfigError, IngestError, PredictionError
+from ..errors import ConfigError, IngestError
 from ..events import Label, ParsedEvent
 from ..obs import metrics_registry
 from ..simlog.record import LogRecord
@@ -150,7 +155,7 @@ class StreamingMonitor:
         is dropped to admit a new one.
     ingest_config:
         Optional :class:`~repro.resilience.IngestConfig` for the
-        raw-line path (:meth:`feed_line` / :meth:`run_lines`).
+        raw-line path (:meth:`feed_line_batch`).
     recovery_successes:
         Consecutive successful scorings after a failure before the
         health status flips from ``"degraded"`` to ``"recovered"``.
@@ -226,7 +231,7 @@ class StreamingMonitor:
         outcomes: "list[FeedOutcome]" = [FeedOutcome()] * len(records)
         # Deferred alert-latch / health-machine operations, in record
         # order.  Forms: ("discard", node), ("skip",), ("latched",),
-        # and ("score", outcome_index, node, event, snapshot, unit_index).
+        # and ("score", outcome_index, node, snapshot, unit_index).
         ops: "list[tuple]" = []
         units: "list[tuple[ParsedEvent, ...]]" = []
         # The latch set as it would look with only this batch's discards
@@ -252,7 +257,12 @@ class StreamingMonitor:
             if len(buf) >= self.max_events_per_node:
                 del buf[0]
                 self.events_evicted += 1
-            buf.append(event)
+            if buf and event.timestamp < buf[-1].timestamp:
+                # A late line: keep the buffer time-sorted, which the
+                # window encoding requires.
+                bisect.insort(buf, event, key=lambda e: e.timestamp)
+            else:
+                buf.append(event)
             if self.degraded_mode:
                 # Forced degraded path (tripped circuit breaker): keep
                 # buffering so episodes stay warm, but skip scoring.
@@ -269,8 +279,9 @@ class StreamingMonitor:
                     # its alert check and note a success.
                     ops.append(("latched",))
                 else:
-                    ops.append(("score", index, node, event, tuple(buf), len(units)))
-                    units.append(tuple(buf))
+                    snapshot = tuple(buf)
+                    ops.append(("score", index, node, snapshot, len(units)))
+                    units.append(snapshot)
             if event.terminal:
                 # Close terminal episodes eagerly: the node went down, so
                 # its next record necessarily starts a fresh episode, and
@@ -292,7 +303,7 @@ class StreamingMonitor:
             elif kind == "latched":
                 self._note_success()
             else:
-                index, node, event, snapshot, unit_index = op[1:]
+                index, node, snapshot, unit_index = op[1:]
                 if node in self._alerted:
                     # An earlier record in this batch latched the node
                     # first; its speculative score is dropped, exactly
@@ -306,37 +317,28 @@ class StreamingMonitor:
                     self._note_skip()
                     outcomes[index] = FeedOutcome(attempted=True, skipped=True)
                     continue
-                try:
-                    warning = None
-                    if result.flagged:
-                        self._alerted.add(node)
-                        self.warnings_raised += 1
-                        registry.counter("monitor.warnings").inc()
-                        likely = None
-                        if self.model.classifier is not None:
-                            from .chains import Episode
+                self._note_success()
+                if result.flagged:
+                    self._alerted.add(node)
+                    self.warnings_raised += 1
+                    registry.counter("monitor.warnings").inc()
+                    likely = None
+                    if self.model.classifier is not None:
+                        from .chains import Episode
 
-                            likely = self.model.classifier.classify(
-                                Episode(node, snapshot)
-                            ).value
-                        warning = FailureWarning(
+                        likely = self.model.classifier.classify(
+                            Episode(node, snapshot)
+                        ).value
+                    outcomes[index] = FeedOutcome(
+                        warning=FailureWarning(
                             node=node,
-                            decision_time=event.timestamp,
+                            decision_time=snapshot[-1].timestamp,
                             lead_seconds=result.lead_seconds,
                             mse=result.mse,
                             likely_class=likely,
-                        )
-                except PredictionError:
-                    self.degraded_skips += 1
-                    registry.counter("monitor.degraded_skips").inc()
-                    self._note_skip()
-                    outcomes[index] = FeedOutcome(attempted=True, skipped=True)
-                else:
-                    self._note_success()
-                    if warning is not None:
-                        outcomes[index] = FeedOutcome(
-                            warning=warning, attempted=True
-                        )
+                        ),
+                        attempted=True,
+                    )
         return outcomes
 
     def _note_skip(self) -> None:
@@ -411,29 +413,17 @@ class StreamingMonitor:
             self._ingestor = HardenedIngestor(self._ingest_config)
         return self._ingestor
 
-    def feed_line(self, line: str) -> Optional[FailureWarning]:
-        """Consume one *raw* log line through the hardened ingest path.
-
-        Unparseable lines are quarantined (raising
-        :class:`~repro.errors.IngestError` only past the configured
-        error budget) and duplicates within the dedup window dropped;
-        surviving records go through :meth:`feed`.
-        """
-        record = self._get_ingestor().accept_line(line)
-        if record is None:
-            return None
-        return self.feed(record)
-
     def feed_line_batch(self, lines: "Sequence[str]") -> "list[FeedOutcome]":
         """Consume raw lines through ingest plus one batched feed.
 
-        Equivalent to :meth:`feed_line` per line, except an over-budget
-        line is reported in its outcome's ``ingest_error`` instead of
-        raising, so one poisoned line does not abort the whole batch —
-        the caller decides (the serving shards count it and move on).
-        Ingest runs strictly in line order (dedup windows are
-        order-sensitive); surviving records flush through
-        :meth:`feed_batch`.
+        Unparseable lines are quarantined and duplicates within the
+        dedup window dropped; an over-budget line is reported in its
+        outcome's ``ingest_error`` instead of raising, so one poisoned
+        line does not abort the whole batch — the caller decides (the
+        serving shards count it and move on).  Ingest runs strictly in
+        line order (dedup windows are order-sensitive); surviving
+        records flush through :meth:`feed_batch`, so a batch of lines
+        is observably identical to the same lines fed one per batch.
         """
         outcomes: "list[Optional[FeedOutcome]]" = [None] * len(lines)
         records: "list[LogRecord]" = []
@@ -453,34 +443,6 @@ class StreamingMonitor:
         for index, outcome in zip(fed_indices, self.feed_batch(records)):
             outcomes[index] = outcome
         return outcomes
-
-    def run_lines(
-        self, lines: Iterable[str], *, batch_size: int = 64
-    ) -> Iterator[FailureWarning]:
-        """Replay a raw-line feed in batches; yields warnings in order.
-
-        Unlike :meth:`feed_line`, over-budget ingest errors abort the
-        replay by re-raising (matching the sequential generator's
-        behavior of propagating :class:`~repro.errors.IngestError`).
-        """
-        if batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-
-        def flush(batch: "list[str]") -> Iterator[FailureWarning]:
-            for outcome in self.feed_line_batch(batch):
-                if outcome.ingest_error is not None:
-                    raise outcome.ingest_error
-                if outcome.warning is not None:
-                    yield outcome.warning
-
-        batch: "list[str]" = []
-        for line in lines:
-            batch.append(line)
-            if len(batch) >= batch_size:
-                yield from flush(batch)
-                batch = []
-        if batch:
-            yield from flush(batch)
 
     # ------------------------------------------------------------------
     def health(self) -> MonitorHealth:

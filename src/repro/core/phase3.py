@@ -15,12 +15,17 @@ The *flag position* — how many anomalous events must be observed before
 a flag may be raised — is the sensitivity knob of Figure 8: requiring
 fewer events flags earlier (longer lead times, more false positives).
 
-An *online* scoring mode (:meth:`Phase3Predictor.score_partial`) anchors
-the dT encoding at the newest observed event instead of the episode end,
-so a live monitor can score a growing episode without future knowledge;
-the model's own predicted dT, decoded back to seconds, is the lead-time
-estimate.  This goes beyond the paper's offline evaluation but exercises
-the identical model.
+An *online* scoring mode (:meth:`Phase3Predictor.score_partial_batch`)
+anchors the dT encoding at the newest observed event instead of the
+episode end, so a live monitor can score growing episodes without future
+knowledge; the model's own predicted dT, decoded back to seconds, is the
+lead-time estimate.  This goes beyond the paper's offline evaluation but
+exercises the identical model.  It is the only online entry point: the
+streaming monitor's flushes and the service's on-demand ``/predict``
+both score through it (a lone episode is the batch of one), and every
+window it scores goes through the same
+:meth:`~repro.nn.batched.BatchedScorer.predict_batch` kernel as the
+offline path.
 """
 
 from __future__ import annotations
@@ -99,9 +104,9 @@ class EpisodeVerdict:
 class PartialScore:
     """Outcome of scoring one growing episode on the batched path.
 
-    ``error`` carries the per-unit :class:`~repro.errors.PredictionError`
-    when scoring that unit failed; callers replicate the sequential
-    path's error handling from it (the other fields are then defaults).
+    ``error`` carries a per-unit :class:`~repro.errors.PredictionError`
+    when a scorer could not score that unit; callers degrade that unit
+    alone (the other fields are then defaults).
     """
 
     flagged: bool
@@ -320,49 +325,22 @@ class Phase3Predictor:
             per_prediction_ms
         )
 
-    def score_partial(
-        self, events: Sequence[ParsedEvent]
-    ) -> tuple[bool, float, float]:
-        """Score a *growing* episode without knowing its end.
-
-        The dT encoding is anchored at the newest observed event.  Returns
-        ``(flagged, mse, lead_estimate_seconds)`` where the lead estimate
-        is the model's predicted next dT decoded to seconds — how far
-        ahead of the current event the model still expects chain activity
-        before the terminal.
-
-        Routed through the same :class:`~repro.nn.batched.BatchedScorer`
-        kernel as :meth:`score_partial_batch`, so a unit scored alone is
-        bitwise identical to the same unit scored inside a batched flush.
-        """
-        cfg = self.config
-        if len(events) < max(2, cfg.min_chain_events):
-            return False, float("inf"), 0.0
-        timed = obs_enabled()
-        start = time.perf_counter() if timed else 0.0
-        x, y = self._partial_matrix(events)
-        pred = self.scorer.predict_batch(x, chunk=cfg.scoring_batch)
-        flagged, best, lead = self._verdict_from(pred, y)
-        if timed and len(x):
-            self._observe_prediction(
-                (time.perf_counter() - start) * 1e3 / len(x)
-            )
-        return flagged, best, lead
-
     def score_partial_batch(
         self, units: "Sequence[Sequence[ParsedEvent]]"
     ) -> "list[PartialScore]":
         """Score many growing episodes through one batched forward.
 
+        Each unit's dT encoding is anchored at its newest observed
+        event.  A unit's score is ``(flagged, mse, lead)`` where the
+        lead estimate is the model's predicted next dT decoded to
+        seconds — how far ahead of the current event the model still
+        expects chain activity before the terminal.
+
         Window stacks of all scoreable units are concatenated and run as
         one (chunked) batch-major forward; per-row bit-independence of
-        the inference kernel makes each unit's scores exactly equal to a
-        lone :meth:`score_partial` call.  Units below the minimum event
-        count return the same early-out triple the sequential path uses.
-        If the batched forward itself raises
-        :class:`~repro.errors.PredictionError`, scoring falls back to
-        per-unit sequential calls so the error is attributed to exactly
-        the unit(s) that fail, matching sequential semantics.
+        the inference kernel makes each unit's scores exactly equal to
+        the same unit scored as a batch of one.  Units below the minimum
+        event count score ``(False, inf, 0.0)`` without a forward.
 
         ``phase3.prediction_ms`` is observed once per scored unit with
         the true per-prediction latency (batch elapsed / windows scored),
@@ -385,24 +363,7 @@ class Phase3Predictor:
             stacked = mats[0][1]
         else:
             stacked = np.concatenate([x for _, x, _ in mats], axis=0)
-        try:
-            preds = self.scorer.predict_batch(stacked, chunk=cfg.scoring_batch)
-        except PredictionError:
-            for index, x, y in mats:
-                unit_start = time.perf_counter() if timed else 0.0
-                try:
-                    pred = self.scorer.predict_batch(x, chunk=cfg.scoring_batch)
-                except PredictionError as exc:
-                    results[index] = PartialScore(
-                        False, float("inf"), 0.0, error=exc
-                    )
-                    continue
-                results[index] = PartialScore(*self._verdict_from(pred, y))
-                if timed:
-                    self._observe_prediction(
-                        (time.perf_counter() - unit_start) * 1e3 / len(x)
-                    )
-            return results
+        preds = self.scorer.predict_batch(stacked, chunk=cfg.scoring_batch)
         offset = 0
         for index, x, y in mats:
             pred = preds[offset : offset + len(x)]

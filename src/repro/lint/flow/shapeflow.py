@@ -471,34 +471,22 @@ class _Interp:
         inp, out = layer.methods[method]
         bindings: Dict[str, Dim] = {}
         label = f"{layer.name}.{method}"
-        # Multi-group input contracts check leading positional args in
-        # order with shared bindings (a mismatch in B across the groups
-        # of a batched stateful call is provable, just like a runtime
-        # binding conflict).
-        in_specs = inp if isinstance(inp, tuple) else (inp,)
         arg_val = self.eval(node.args[0], env) if node.args else UNKNOWN
-        values = [arg_val]
-        for extra in node.args[1 : len(in_specs)]:
-            values.append(self.eval(extra, env))
-        for spec, value in zip(in_specs, values):
-            if spec is not None and isinstance(value, ShapeVal):
-                self._check_shape(node, label, receiver, spec, value, bindings)
-        if out is None or isinstance(out, tuple):
-            # Tuple outputs (e.g. step_batch's (h, states)) are not a
-            # single tracked array; the result evaluates to unknown.
+        if inp is not None and isinstance(arg_val, ShapeVal):
+            self._check_shape(node, label, receiver, inp, arg_val, bindings)
+        if out is None:
             return UNKNOWN
-        first = in_specs[0]
         lead_unknown = True
         lead: Tuple[Dim, ...] = ()
         if out.ellipsis_lead:
             if (
                 isinstance(arg_val, ShapeVal)
                 and not arg_val.lead_unknown
-                and first is not None
-                and first.ellipsis_lead
-                and len(arg_val.dims) >= len(first.dims)
+                and inp is not None
+                and inp.ellipsis_lead
+                and len(arg_val.dims) >= len(inp.dims)
             ):
-                lead = arg_val.dims[: len(arg_val.dims) - len(first.dims)]
+                lead = arg_val.dims[: len(arg_val.dims) - len(inp.dims)]
                 lead_unknown = False
         else:
             lead_unknown = False
@@ -609,8 +597,8 @@ class _Interp:
         if self.own_contract is None or not isinstance(value, ShapeVal):
             return
         _, out = self.own_contract
-        if out is None or isinstance(out, tuple):
-            return  # tuple returns are not a single checkable array
+        if out is None:
+            return
         bindings = dict(self._seed_bindings())
         self._check_shape(
             stmt, f"{self._func_label()} return", None, out, value, bindings
@@ -626,8 +614,6 @@ class _Interp:
         if self.own_contract is None:
             return {}
         inp, _ = self.own_contract
-        if isinstance(inp, tuple):
-            inp = inp[0]  # the first group describes the first parameter
         if inp is None:
             return {}
         out: Dict[str, Dim] = {}
@@ -653,8 +639,6 @@ class _Interp:
         if self.own_contract is None:
             return env
         inp, _ = self.own_contract
-        if isinstance(inp, tuple):
-            inp = inp[0]  # seed only the first parameter's group
         if inp is None:
             return env
         args = getattr(self.func, "args", None)

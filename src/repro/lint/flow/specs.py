@@ -3,7 +3,8 @@
 F1's transfer functions are the *declared* contracts on
 ``Dense``/``Embedding``/``LSTMCell``/``StackedLSTM``/``BatchedScorer``
 and the TCN kernels (``CausalConv1d``/``TemporalBlock``/``TCNBackbone``):
-what a layer method promises about its input/output shapes.  This
+what a layer method promises about the shape of its first argument and
+of its return value (one tensor group per side).  This
 module harvests them once — via
 :func:`repro.nn.contracts.declared_contracts`, which works under
 ``python -O`` too — together with each constructor's parameter names,
@@ -44,8 +45,8 @@ class LayerSpec:
 def parse_contract(spec: str):
     """Parse a contract string into ``(input, output)`` TensorSpecs.
 
-    Either side may itself be a *tuple* of TensorSpecs for multi-group
-    contracts (batched stateful methods like ``LSTMCell.step_batch``).
+    Either side is ``None`` or one TensorSpec: a contract describes the
+    first positional argument and the return value, nothing more.
     Returns ``None`` for a malformed spec instead of raising — a broken
     inline contract is the runtime layer's problem to report, not the
     linter's.

@@ -7,22 +7,10 @@ to each ``forward``/``backward``::
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
     def forward(self, x): ...
 
-The spec grammar is ``input -> output`` where each side is ``None``, a
-single ``(dim, dim, ...)`` group with an optional ``:float``/``:int``
-dtype, or a comma-separated list of such groups (the batch-major
-stateful APIs take and return several tensors)::
-
-    @tensor_contract(
-        "(B, input_size):float, (B, hidden_size):float"
-        " -> (B, hidden_size):float, (B, hidden_size):float"
-    )
-    def step_batch(self, x, h=None): ...
-
-A multi-group input side checks the leading positional arguments in
-order (``None`` arguments are skipped — optional state defaults); a
-multi-group output side requires the return value to be a tuple of
-matching length.  All groups on both sides share one binding scope, so
-a symbolic ``B`` must agree across every tensor in the call.  A dim is
+The spec grammar is ``input -> output`` where each side is ``None`` or
+a single ``(dim, dim, ...)`` group with an optional ``:float``/``:int``
+dtype; the input group checks the first positional argument, the output
+group the return value, and both share one binding scope.  A dim is
 an integer literal, ``...`` (any leading dims, first position only),
 or an identifier; identifiers resolve against instance attributes when
 the layer defines them (``in_dim``, ``hidden_size``) and otherwise
@@ -125,55 +113,19 @@ def _parse_side(text: str) -> Optional[TensorSpec]:
     return TensorSpec(tuple(dims), ellipsis_lead, dtype)
 
 
-def _split_top(text: str) -> "list[str]":
-    """Split on commas at paren depth zero (multi-group side grammar)."""
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for index, char in enumerate(text):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-            if depth < 0:
-                raise ContractError(f"unbalanced parens in tensor spec {text!r}")
-        elif char == "," and depth == 0:
-            parts.append(text[start:index])
-            start = index + 1
-    if depth != 0:
-        raise ContractError(f"unbalanced parens in tensor spec {text!r}")
-    parts.append(text[start:])
-    return parts
-
-
-def _parse_group(text: str) -> object:
-    """Parse one side: a bare spec, ``None``, or a tuple of specs."""
-    parts = _split_top(text)
-    if len(parts) == 1:
-        return _parse_side(parts[0])
-    specs = []
-    for part in parts:
-        spec = _parse_side(part)
-        if spec is None:
-            raise ContractError(
-                f"None is not allowed inside a multi-group side: {text!r}"
-            )
-        specs.append(spec)
-    return tuple(specs)
-
-
-def parse_spec(spec: str) -> Tuple[object, object]:
+def parse_spec(
+    spec: str,
+) -> Tuple[Optional[TensorSpec], Optional[TensorSpec]]:
     """Parse ``"input -> output"`` into per-side specs.
 
-    Each element of the returned pair is ``None``, a single
-    :class:`TensorSpec`, or (for multi-group sides) a tuple of
+    Each element of the returned pair is ``None`` or a
     :class:`TensorSpec`.
     """
     head, arrow, tail = spec.partition("->")
     if not arrow:
         raise ContractError(f"bad tensor contract {spec!r}")
     try:
-        return _parse_group(head), _parse_group(tail)
+        return _parse_side(head), _parse_side(tail)
     except ContractError as exc:
         raise ContractError(f"bad tensor contract {spec!r}: {exc}") from exc
 
@@ -253,26 +205,10 @@ def tensor_contract(spec: str) -> Callable:
         @functools.wraps(func)
         def wrapper(self, *args, **kwargs):
             bindings: dict = {}
-            if isinstance(inp, tuple):
-                # Multi-group input: leading positional args in order;
-                # None means an optional state arg left at its default.
-                for spec, value in zip(inp, args):
-                    if value is not None:
-                        _check("input", spec, value, self, func.__name__, bindings)
-            elif inp is not None and args:
+            if inp is not None and args:
                 _check("input", inp, args[0], self, func.__name__, bindings)
             result = func(self, *args, **kwargs)
-            if isinstance(out, tuple):
-                if not isinstance(result, tuple) or len(result) != len(out):
-                    raise ContractError(
-                        f"{type(self).__name__}.{func.__name__} output: "
-                        f"expected a {len(out)}-tuple, got "
-                        f"{type(result).__name__}"
-                    )
-                for spec, value in zip(out, result):
-                    _check("output", spec, value, self, func.__name__, bindings)
-            else:
-                _check("output", out, result, self, func.__name__, bindings)
+            _check("output", out, result, self, func.__name__, bindings)
             return result
 
         wrapper.__tensor_contract__ = spec

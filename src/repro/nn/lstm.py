@@ -18,7 +18,7 @@ dependencies HPC logs exhibit (Section 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -54,20 +54,13 @@ class LSTMCell:
 
     # ------------------------------------------------------------------
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
-    def forward(
-        self,
-        x: np.ndarray,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run the cell over a batch of sequences.
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the cell over a batch of sequences from zero state.
 
         Parameters
         ----------
         x:
             Input tensor of shape ``(B, T, input_size)``.
-        h0, c0:
-            Optional initial states of shape ``(B, hidden_size)``.
 
         Returns
         -------
@@ -79,10 +72,8 @@ class LSTMCell:
             )
         B, T, _ = x.shape
         H = self.hidden_size
-        h = np.zeros((B, H)) if h0 is None else h0
-        c = np.zeros((B, H)) if c0 is None else c0
-        if h.shape != (B, H) or c.shape != (B, H):
-            raise ShapeError(f"initial state must be ({B}, {H})")
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
 
         hs = np.empty((B, T, H))
         # Per-timestep caches needed by BPTT.
@@ -127,77 +118,18 @@ class LSTMCell:
         }
         return hs
 
-    # ------------------------------------------------------------------
-    def _infer_step(
-        self, proj: np.ndarray, h: np.ndarray, c: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """One cache-free timestep given the precomputed input projection.
-
-        Shared by :meth:`step_batch` and :meth:`forward_infer` so both
-        batch-major entry points execute the exact same instruction
-        sequence — the bit-identity argument for batched scoring rests
-        on every path funnelling through this one kernel.  The i|f gate
-        columns are adjacent in the fused layout, so a single
-        :func:`sigmoid_infer` call covers both.
-        """
-        H = self.hidden_size
-        gates = proj + h @ self.U
-        gates += self.b
-        i_f = sigmoid_infer(gates[:, : 2 * H])
-        g = tanh(gates[:, 2 * H : 3 * H])
-        o = sigmoid_infer(gates[:, 3 * H :])
-        c = i_f[:, H:] * c + i_f[:, :H] * g
-        h = o * tanh(c)
-        return h, c
-
-    @tensor_contract(
-        "(B, input_size):float, (B, hidden_size):float, (B, hidden_size):float"
-        " -> (B, hidden_size):float, (B, hidden_size):float"
-    )
-    def step_batch(
-        self,
-        x: np.ndarray,
-        h: Optional[np.ndarray] = None,
-        c: Optional[np.ndarray] = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Advance B independent per-node states by one timestep.
-
-        Stacks B node states into ``(B, hidden_size)`` matrices so the
-        four gate projections fuse into one BLAS call instead of B
-        sequential ones.  Missing states default to zeros (fresh nodes).
-
-        Returns the new ``(h, c)`` pair; inputs are not mutated, so
-        callers can keep per-node state snapshots.
-        """
-        if x.ndim != 2 or x.shape[1] != self.input_size:
-            raise ShapeError(
-                f"step_batch expected (B, {self.input_size}), got {x.shape}"
-            )
-        B = x.shape[0]
-        H = self.hidden_size
-        if h is None:
-            h = np.zeros((B, H))
-        if c is None:
-            c = np.zeros((B, H))
-        if h.shape != (B, H) or c.shape != (B, H):
-            raise ShapeError(f"step_batch state must be ({B}, {H})")
-        return self._infer_step(x @ self.W, h, c)
-
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
-    def forward_infer(
-        self,
-        x: np.ndarray,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def forward_infer(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward: no BPTT caches, fused projections.
 
-        Identical signature and output shape to :meth:`forward`, but
-        allocates nothing beyond the output, routes the input projection
-        through one 2-D GEMM for all timesteps, and uses the branch-free
-        inference sigmoid.  Outputs may differ from :meth:`forward` in
-        the final ulp (see :func:`sigmoid_infer`); the scoring stack
-        only ever compares inference-path outputs with each other.
+        Same input and output shapes as :meth:`forward`, but allocates
+        nothing beyond the output, routes the input projection through
+        one 2-D GEMM for all timesteps, and uses the branch-free
+        inference sigmoid.  The i|f gate columns are adjacent in the
+        fused layout, so a single :func:`sigmoid_infer` call covers
+        both.  Outputs may differ from :meth:`forward` in the final ulp
+        (see :func:`sigmoid_infer`); the scoring stack only ever
+        compares inference-path outputs with each other.
         """
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(
@@ -205,15 +137,19 @@ class LSTMCell:
             )
         B, T, _ = x.shape
         H = self.hidden_size
-        h = np.zeros((B, H)) if h0 is None else h0
-        c = np.zeros((B, H)) if c0 is None else c0
-        if h.shape != (B, H) or c.shape != (B, H):
-            raise ShapeError(f"initial state must be ({B}, {H})")
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
         flat = np.ascontiguousarray(x).reshape(B * T, self.input_size)
         x_proj = (flat @ self.W).reshape(B, T, 4 * H)
         hs = np.empty((B, T, H))
         for t in range(T):
-            h, c = self._infer_step(x_proj[:, t], h, c)
+            gates = x_proj[:, t] + h @ self.U
+            gates += self.b
+            i_f = sigmoid_infer(gates[:, : 2 * H])
+            g = tanh(gates[:, 2 * H : 3 * H])
+            o = sigmoid_infer(gates[:, 3 * H :])
+            c = i_f[:, H:] * c + i_f[:, :H] * g
+            h = o * tanh(c)
             hs[:, t] = h
         return hs
 
@@ -332,41 +268,6 @@ class StackedLSTM:
         for layer in self.layers:
             h = layer.forward_infer(h)
         return h
-
-    @tensor_contract(
-        "(B, input_size):float, (num_layers, 2, B, hidden_size):float"
-        " -> (B, hidden_size):float, (num_layers, 2, B, hidden_size):float"
-    )
-    def step_batch(
-        self, x: np.ndarray, states: Optional[np.ndarray] = None
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Advance B stacked per-node states by one timestep.
-
-        ``states`` packs every layer's ``(h, c)`` pair into one
-        ``(num_layers, 2, B, hidden_size)`` tensor; ``None`` starts all
-        B nodes fresh.  Returns the top layer's new hidden state and the
-        updated state tensor (a new array — the input is not mutated).
-        """
-        if x.ndim != 2 or x.shape[1] != self.input_size:
-            raise ShapeError(
-                f"step_batch expected (B, {self.input_size}), got {x.shape}"
-            )
-        B = x.shape[0]
-        H = self.hidden_size
-        expected = (self.num_layers, 2, B, H)
-        if states is None:
-            states = np.zeros(expected)
-        if states.shape != expected:
-            raise ShapeError(
-                f"step_batch states must be {expected}, got {states.shape}"
-            )
-        new_states = np.empty(expected)
-        h = x
-        for idx, layer in enumerate(self.layers):
-            h, c = layer.step_batch(h, states[idx, 0], states[idx, 1])
-            new_states[idx, 0] = h
-            new_states[idx, 1] = c
-        return h, new_states
 
     @tensor_contract("(B, T, hidden_size):float -> (B, T, input_size):float")
     def backward(self, dh: np.ndarray) -> np.ndarray:

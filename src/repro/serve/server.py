@@ -270,7 +270,14 @@ class HttpServer:
             await self._respond_json(writer, 200, result.as_dict())
 
     async def _handle_alert_stream(self, writer: asyncio.StreamWriter) -> None:
-        """Server-sent events: replayed ring, then live until shutdown."""
+        """Server-sent events: replayed ring, then live until shutdown.
+
+        The subscriber queue only wakes the stream; what it sends is
+        read from the alert ring by sequence number.  A reader slower
+        than the queue is deep therefore still gets every alert the
+        ring holds, in order and once; alerts the ring overwrote before
+        they were sent are counted in ``serve.sse.overwritten``.
+        """
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
@@ -279,11 +286,12 @@ class HttpServer:
         )
         queue = self.service.subscribe()
         try:
-            for alert in self.service.alerts_since(0):
-                await self._sse_write(writer, alert)
+            sent = await self._sse_write(
+                writer, self.service.alerts_since(0), 0
+            )
             while True:
                 try:
-                    alert = await asyncio.wait_for(
+                    item = await asyncio.wait_for(
                         queue.get(), _SSE_KEEPALIVE
                     )
                 except asyncio.TimeoutError:
@@ -292,9 +300,16 @@ class HttpServer:
                         writer.drain(), _SSE_WRITE_TIMEOUT
                     )
                     continue
-                if alert is None:  # shutdown sentinel
+                while item is not None and not queue.empty():
+                    item = queue.get_nowait()
+                alerts = self.service.alerts_since(sent)
+                if alerts and alerts[0]["seq"] > sent + 1:
+                    metrics_registry().counter("serve.sse.overwritten").inc(
+                        alerts[0]["seq"] - sent - 1
+                    )
+                sent = await self._sse_write(writer, alerts, sent)
+                if item is None:  # shutdown sentinel
                     return
-                await self._sse_write(writer, alert)
         except (ConnectionError, asyncio.TimeoutError):
             metrics_registry().counter("serve.sse.dropped").inc()
             return
@@ -302,13 +317,20 @@ class HttpServer:
             self.service.unsubscribe(queue)
 
     async def _sse_write(
-        self, writer: asyncio.StreamWriter, alert: dict
-    ) -> None:
-        payload = json.dumps(alert, sort_keys=True)
+        self, writer: asyncio.StreamWriter, alerts: "list[dict]", sent: int
+    ) -> int:
+        """Send *alerts* in one write; returns the last sequence sent."""
+        if not alerts:
+            return sent
         writer.write(
-            f"id: {alert['seq']}\nevent: alert\ndata: {payload}\n\n".encode()
+            "".join(
+                f"id: {alert['seq']}\nevent: alert\n"
+                f"data: {json.dumps(alert, sort_keys=True)}\n\n"
+                for alert in alerts
+            ).encode()
         )
         await asyncio.wait_for(writer.drain(), _SSE_WRITE_TIMEOUT)
+        return alerts[-1]["seq"]
 
     # ------------------------------------------------------------------
     async def _respond_json(

@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 
 from ..core.alerts import FailureWarning
 from ..core.monitor import StreamingMonitor
-from ..errors import ConfigError, PredictionError, ServeError
+from ..errors import ConfigError, ServeError
 from ..obs import metrics_registry
 from ..resilience.checkpoint import CheckpointManager
 from ..topology.cray import NODE_ID_RE, CrayNodeId
@@ -87,7 +87,8 @@ class ServeConfig:
     alert_buffer:
         Retained alert ring size (``alerts_since`` replay window).
     subscriber_buffer:
-        Per-subscriber queue depth; a slower consumer drops alerts.
+        Per-subscriber queue depth; a slower consumer drops alerts (an
+        SSE stream then re-reads the ones the ring still holds).
     episode_gap / max_nodes_per_shard / max_events_per_node /
     recovery_successes:
         Forwarded to each shard's
@@ -499,11 +500,8 @@ class PredictionService:
             "lead_seconds": 0.0,
         }
         if episode:
-            try:
-                flagged, mse, lead = self.model.predictor.score_partial(
-                    episode
-                )
-            except PredictionError:
+            score = self.model.predictor.score_partial_batch([episode])[0]
+            if score.error is not None:
                 shard.breaker.record_fault()
                 registry.counter("serve.predict.faults").inc()
                 future.set_result(
@@ -512,9 +510,9 @@ class PredictionService:
                 return
             shard.breaker.record_success()
             answer.update(
-                flagged=bool(flagged),
-                mse=_finite(mse),
-                lead_seconds=float(lead),
+                flagged=bool(score.flagged),
+                mse=_finite(score.mse),
+                lead_seconds=float(score.lead_seconds),
             )
         future.set_result(answer)
 
@@ -584,7 +582,8 @@ class PredictionService:
                 queue.put_nowait(payload)
             except asyncio.QueueFull:
                 # Slow consumer: drop for this subscriber, never stall
-                # the shard worker.
+                # the shard worker.  An SSE stream re-reads what it
+                # missed from the ring on its next wake.
                 metrics_registry().counter("serve.subscriber_drops").inc()
 
     def subscribe(self) -> asyncio.Queue:

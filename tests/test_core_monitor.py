@@ -151,8 +151,8 @@ class TestStreamingMonitor:
         monitor = StreamingMonitor(trained_model)
         anomalous = _find_record(trained_model, test_split.records, terminal=False)
         line = render_line(anomalous)
-        monitor.feed_line(line)
-        monitor.feed_line(line)
+        monitor.feed_line_batch([line])
+        monitor.feed_line_batch([line])
         health = monitor.health()
         assert health.records_seen == 1
         assert health.ingest["duplicates_dropped"] == 1
@@ -174,6 +174,20 @@ class TestStreamingMonitor:
             bounded.feed(bumped)
         assert len(bounded._buffers[anomalous.node]) == 4
         assert bounded.events_evicted == 6
+
+    def test_late_record_is_inserted_in_time_order(
+        self, trained_model, test_split
+    ):
+        """A record behind the node's tail must not break the buffer."""
+        monitor = StreamingMonitor(trained_model)
+        anomalous = _find_record(trained_model, test_split.records, terminal=False)
+        t0 = anomalous.timestamp
+        for offset in (0.0, 20.0, 10.0, 30.0):
+            monitor.feed(dataclasses.replace(anomalous, timestamp=t0 + offset))
+        times = [e.timestamp for e in monitor.open_episode(anomalous.node)]
+        assert times == [t0, t0 + 10.0, t0 + 20.0, t0 + 30.0]
+        assert monitor.scores_attempted == 4
+        assert monitor.degraded_skips == 0
 
     def test_prediction_error_degrades_to_counted_skip(
         self, trained_model, test_split
@@ -277,14 +291,17 @@ class TestBatchedFeedEquivalence:
         assert resumed.state_dict() == reference.state_dict()
 
     def test_feed_line_batch_matches_feed_line(self, trained_model, test_split):
+        """One whole-batch feed equals the same lines fed one per batch."""
         lines = [render_line(r) for r in test_split.records[:1200]]
         sequential = StreamingMonitor(trained_model)
         expected = [
-            w for w in map(sequential.feed_line, lines) if w is not None
+            outcome
+            for line in lines
+            for outcome in sequential.feed_line_batch([line])
         ]
         batched = StreamingMonitor(trained_model)
-        warnings = list(batched.run_lines(lines, batch_size=64))
-        assert warnings == expected
+        assert batched.feed_line_batch(lines) == expected
+        assert any(o.warning is not None for o in expected)
         assert batched.state_dict() == sequential.state_dict()
 
     def test_feed_line_batch_reports_ingest_error_in_outcome(
@@ -309,5 +326,3 @@ class TestBatchedFeedEquivalence:
 
         with pytest.raises(ConfigError):
             list(monitor.run(test_split.records[:10], batch_size=0))
-        with pytest.raises(ConfigError):
-            list(monitor.run_lines([], batch_size=0))

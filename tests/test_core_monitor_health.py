@@ -29,23 +29,16 @@ class _FakeScorer:
         self.fail = False
         self.flag = False
 
-    def score_partial(self, events):
-        if self.fail:
-            raise PredictionError("scripted scoring failure")
-        return self.flag, 0.5, 60.0
-
     def score_partial_batch(self, units):
         # Same shape as Phase3Predictor.score_partial_batch: a scoring
         # failure is attributed to the unit, never raised.
-        results = []
-        for events in units:
-            try:
-                results.append(PartialScore(*self.score_partial(events)))
-            except PredictionError as exc:
-                results.append(
-                    PartialScore(False, float("inf"), 0.0, error=exc)
-                )
-        return results
+        if self.fail:
+            error = PredictionError("scripted scoring failure")
+            return [
+                PartialScore(False, float("inf"), 0.0, error=error)
+                for _ in units
+            ]
+        return [PartialScore(self.flag, 0.5, 60.0) for _ in units]
 
 
 class _FakeModel:
@@ -159,6 +152,17 @@ class TestEpisodeLifecycle:
         # The next episode on the same node may alert again.
         warning = monitor.feed(_event(3.0))
         assert warning is not None
+
+    def test_late_event_warning_is_timed_at_the_newest_event(
+        self, monitor, model
+    ):
+        monitor.feed(_event(100.0))
+        model.predictor.flag = True
+        warning = monitor.feed(_event(90.0))
+        assert warning is not None
+        assert warning.decision_time == 100.0
+        node = CrayNodeId.parse("c0-0c0s0n0")
+        assert [e.timestamp for e in monitor.open_episode(node)] == [90.0, 100.0]
 
     def test_gap_closes_episode_and_starts_fresh(self, monitor):
         monitor.feed(_event(1.0))

@@ -198,15 +198,17 @@ class TestPhase3Predictor:
     def test_score_partial_on_prefix(self, predictor):
         """Online scoring of a growing chain prefix matches eventually."""
         chain = make_chain(NODE, 5000.0, lead=100.0)
-        flagged, mse, lead = predictor.score_partial(chain.events[:3])
-        assert np.isfinite(mse)
-        assert lead >= 0.0
+        (score,) = predictor.score_partial_batch([chain.events[:3]])
+        assert score.error is None
+        assert np.isfinite(score.mse)
+        assert score.lead_seconds >= 0.0
 
     def test_score_partial_too_short(self, predictor):
         chain = make_chain(NODE, 5000.0)
-        flagged, mse, lead = predictor.score_partial(chain.events[:1])
-        assert not flagged
-        assert mse == float("inf")
+        (score,) = predictor.score_partial_batch([chain.events[:1]])
+        assert not score.flagged
+        assert score.mse == float("inf")
+        assert score.lead_seconds == 0.0
 
 
 class TestPhase1Trainer:

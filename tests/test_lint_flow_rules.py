@@ -154,42 +154,13 @@ def test_f1_catches_wrong_dim_from_self_attribute_layer():
     assert "in_dim = 32" in findings[0].message
 
 
-def test_f1_fires_on_unbatched_state_in_step_batch():
-    # The classic (B, H) vs (H,) mixup: passing a single node's hidden
-    # vector where the batched step expects a stacked state matrix.
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.lstm import LSTMCell
-
-        def go(rng):
-            cell = LSTMCell(2, 16, rng)
-            x = np.zeros((8, 2))
-            h = np.zeros(16)
-            c = np.zeros(16)
-            return cell.step_batch(x, h, c)
-        """,
-        "F1",
-    )
-    assert findings
-    assert all(f.rule == "F1" for f in findings)
-    assert "LSTMCell.step_batch" in findings[0].message
-    assert "rank-1" in findings[0].message
-
-
 def test_f1_silent_on_batched_step_and_scorer():
     findings = _lint(
         """
         import numpy as np
         from repro.nn.batched import BatchedScorer
-        from repro.nn.lstm import LSTMCell
 
         def go(rng, regressor, scaler):
-            cell = LSTMCell(2, 16, rng)
-            x = np.zeros((8, 2))
-            h = np.zeros((8, 16))
-            c = np.zeros((8, 16))
-            h, c = cell.step_batch(x, h, c)
             scorer = BatchedScorer(regressor, scaler, history=5)
             windows = np.zeros((64, 5, 2))
             return scorer.predict_batch(windows)

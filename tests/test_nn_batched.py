@@ -15,7 +15,6 @@ from repro.core.phase2 import pad_vectors
 from repro.errors import NotFittedError, ShapeError
 from repro.nn import BatchedScorer
 from repro.nn.data import sliding_windows_continuous
-from repro.nn.lstm import LSTMCell, StackedLSTM
 from repro.nn.model import SequenceRegressor
 
 VOCAB = 40
@@ -71,36 +70,6 @@ class TestKernelBitIdentity:
             alone = _SCORER.predict_batch(x)
             assert np.array_equal(batched[offset : offset + len(x)], alone)
             offset += len(x)
-
-    @given(
-        # B >= 2 for the same single-row-GEMM reason as above: the fused
-        # forward projects all of x in one (B*T)-row GEMM, so a B=1
-        # step's 1-row projection may round differently.
-        batch=st.integers(2, 9),
-        steps=st.integers(1, 7),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_step_batch_rollout_equals_forward_infer(self, batch, steps, seed):
-        """Stepping a batch through time reproduces the fused forward."""
-        rng = np.random.default_rng(seed)
-        lstm = StackedLSTM(2, 16, 2, np.random.default_rng(7))
-        x = rng.random((batch, steps, 2))
-        full = lstm.forward_infer(x)
-        states = None
-        for t in range(steps):
-            h, states = lstm.step_batch(x[:, t, :], states)
-            assert np.array_equal(h, full[:, t, :])
-
-    def test_cell_step_batch_matches_stacked_first_layer(self):
-        rng = np.random.default_rng(0)
-        cell = LSTMCell(2, 16, np.random.default_rng(7))
-        x = rng.random((4, 2))
-        h, c = cell.step_batch(x)
-        h2, c2 = cell.step_batch(x, h, c)
-        assert h.shape == c.shape == (4, 16)
-        assert not np.array_equal(h, h2)
-        assert c2.shape == (4, 16)
 
     def test_predict_matches_training_forward_closely(self):
         """The inference kernel is the same function, modulo 1-2 ulp."""

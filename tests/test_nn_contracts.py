@@ -209,34 +209,16 @@ def test_declared_contracts_survive_dash_O():
 
 
 # ----------------------------------------------------------------------
-# Multi-group specs (batched stateful methods)
+# Multi-group specs: a side is one group, never a list of groups
 # ----------------------------------------------------------------------
-class ToyMulti:
-    def __init__(self):
-        self.width = 3
-
-    @tensor_contract(
-        "(B, width):float, (B, width):float -> (B, width):float, (B, width):float"
-    )
-    def pair(self, x, state=None):
-        if state is None:
-            state = np.zeros_like(x)
-        return x, state
-
-    @tensor_contract("(B, width):float -> (B, width):float, (B, width):float")
-    def not_a_pair(self, x):
-        return x
-
-
 class TestMultiGroupSpecs:
-    def test_parses_tuple_sides(self):
-        inp, out = parse_spec(
-            "(B, I):float, (B, H):float -> (B, H):float, (B, H):float"
-        )
-        assert isinstance(inp, tuple) and len(inp) == 2
-        assert isinstance(out, tuple) and len(out) == 2
-        assert inp[0].dims == ("B", "I")
-        assert out[1].dims == ("B", "H")
+    def test_rejects_multi_group_sides(self):
+        for bad in (
+            "(B, I):float, (B, H):float -> (B, H):float",
+            "(B, I):float -> (B, H):float, (B, H):float",
+        ):
+            with pytest.raises(ContractError):
+                parse_spec(bad)
 
     def test_parses_integer_literal_dims(self):
         inp, _ = parse_spec("(num_layers, 2, B, H):float -> None")
@@ -246,35 +228,3 @@ class TestMultiGroupSpecs:
         for bad in ("(a):float, (b:float -> (c):float", "(a, (b)):float -> None"):
             with pytest.raises(ContractError):
                 parse_spec(bad)
-
-    def test_optional_state_arg_skipped_when_none(self):
-        x = np.zeros((4, 3))
-        out, state = ToyMulti().pair(x)
-        assert out is x and state.shape == x.shape
-
-    def test_bindings_shared_across_groups(self):
-        # B binds from x; a state with a different batch dim is provably
-        # wrong before the method body runs.
-        with pytest.raises(ContractError, match="B"):
-            ToyMulti().pair(np.zeros((4, 3)), np.zeros((5, 3)))
-
-    def test_tuple_output_arity_enforced(self):
-        with pytest.raises(ContractError):
-            ToyMulti().not_a_pair(np.zeros((4, 3)))
-
-    def test_step_batch_contract_rejects_mismatched_state(self):
-        cell = LSTMCell(4, 8, RNG(0))
-        x = RNG(1).normal(size=(2, 4))
-        h, c = cell.step_batch(x)
-        assert h.shape == c.shape == (2, 8)
-        with pytest.raises(ShapeError):
-            cell.step_batch(x, np.zeros((3, 8)), np.zeros((3, 8)))
-
-    def test_stacked_step_batch_contract_checks_state_tensor(self):
-        net = StackedLSTM(4, 8, 2, RNG(0))
-        x = RNG(1).normal(size=(2, 4))
-        top, states = net.step_batch(x)
-        assert top.shape == (2, 8)
-        assert states.shape == (2, 2, 2, 8)
-        with pytest.raises(ShapeError):
-            net.step_batch(x, np.zeros((1, 2, 2, 8)))

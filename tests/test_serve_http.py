@@ -228,3 +228,39 @@ class TestAlertStreaming:
                 writer.close()
 
         asyncio.run(run())
+
+    def test_sse_stream_slower_than_its_queue_loses_no_alert(
+        self, trained_model, lines
+    ):
+        # A one-deep subscriber queue overflows as soon as one ingest
+        # batch raises two alerts before the stream handler runs; the
+        # stream must still deliver every published alert, in order.
+        config = ServeConfig(
+            num_shards=1, drain_timeout=2.0, subscriber_buffer=1
+        )
+
+        async def run():
+            async with _Harness(trained_model, config) as h:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", h.server.port
+                )
+                writer.write(
+                    b"GET /alerts?stream=1 HTTP/1.1\r\nHost: t\r\n\r\n"
+                )
+                await writer.drain()
+                await reader.readuntil(b"\r\n\r\n")
+                await h.service.ingest_lines(lines[:1500])
+                await h.service._shards[0].queue.join(5.0)
+                published = h.service.health()["alert_seq"]
+                seqs = []
+                while len(seqs) < published:
+                    event = await asyncio.wait_for(
+                        reader.readuntil(b"\n\n"), 5.0
+                    )
+                    seqs.append(int(event.split(b"\n", 1)[0][4:]))
+                writer.close()
+                return published, seqs
+
+        published, seqs = asyncio.run(run())
+        assert published >= 2
+        assert seqs == list(range(1, published + 1))

@@ -174,17 +174,25 @@ class TestIngest:
 
 
 class TestPredict:
+    @staticmethod
+    async def _drained_service(trained_model, lines):
+        """A started service whose workers have fed *lines* to the end.
+
+        Ingest returns at enqueue time; waiting for the workers to drain
+        leaves the monitors with open episodes to predict on.
+        """
+        service = PredictionService(trained_model, _config())
+        await service.start(restore=False)
+        await service.ingest_lines(lines)
+        for _ in range(500):
+            if not any(s.queue.depth for s in service._shards):
+                break
+            await asyncio.sleep(0.01)
+        return service
+
     def test_predict_over_live_service(self, trained_model, lines):
         async def run():
-            service = PredictionService(trained_model, _config())
-            await service.start(restore=False)
-            await service.ingest_lines(lines[:800])
-            # Ingest returns at enqueue time; wait for the workers to
-            # drain so the monitors have open episodes to predict on.
-            for _ in range(500):
-                if not any(s.queue.depth for s in service._shards):
-                    break
-                await asyncio.sleep(0.01)
+            service = await self._drained_service(trained_model, lines[:800])
             nodes = []
             for shard in service._shards:
                 nodes.extend(str(n) for n in shard.monitor.pending_nodes())
@@ -196,6 +204,57 @@ class TestPredict:
         assert answer["degraded"] is False
         assert answer["open_events"] > 0
         assert answer["lead_seconds"] >= 0.0
+
+    def test_predict_equals_batch_of_one_score(self, trained_model, lines):
+        async def run():
+            service = await self._drained_service(trained_model, lines[:800])
+            node, episode = next(
+                (node, shard.monitor.open_episode(node))
+                for shard in service._shards
+                for node in shard.monitor.pending_nodes()
+                if len(shard.monitor.open_episode(node)) >= 2
+            )
+            answer = await service.predict(str(node), deadline_seconds=5.0)
+            await service.stop(checkpoint=False)
+            return answer, episode
+
+        answer, episode = asyncio.run(run())
+        (expected,) = trained_model.predictor.score_partial_batch([episode])
+        assert answer["degraded"] is False
+        assert answer["open_events"] == len(episode)
+        assert answer["flagged"] is expected.flagged
+        assert answer["mse"] == expected.mse
+        assert answer["lead_seconds"] == expected.lead_seconds
+
+    def test_predict_scoring_error_degrades_and_faults_breaker(
+        self, trained_model, lines, monkeypatch
+    ):
+        def poisoned(units):
+            error = PredictionError("poisoned scorer")
+            return [
+                PartialScore(False, float("inf"), 0.0, error=error)
+                for _ in units
+            ]
+
+        async def run():
+            service = await self._drained_service(trained_model, lines[:800])
+            node = next(
+                n for s in service._shards for n in s.monitor.pending_nodes()
+            )
+            shard = service._shards[service.router.shard_of_key(str(node))]
+            faults_before = shard.breaker.as_dict()["consecutive_faults"]
+            monkeypatch.setattr(
+                trained_model.predictor, "score_partial_batch", poisoned
+            )
+            answer = await service.predict(str(node), deadline_seconds=5.0)
+            faults_after = shard.breaker.as_dict()["consecutive_faults"]
+            await service.stop(checkpoint=False)
+            return answer, faults_before, faults_after
+
+        answer, faults_before, faults_after = asyncio.run(run())
+        assert answer["degraded"] is True
+        assert answer["reason"] == "prediction-error"
+        assert faults_after == faults_before + 1
 
     def test_predict_deadline_expires_to_degraded_answer(
         self, trained_model, lines

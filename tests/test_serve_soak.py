@@ -79,6 +79,7 @@ class TestStormSoak:
         assert report.unhandled_errors == []
         assert report.lost == 0
         assert report.workers_given_up == 0
+        assert report.worker_restarts == report.crashes_injected
 
     def test_line_faults_preclude_bit_identity_assertion(self, report):
         assert report.bit_identical is None
@@ -112,6 +113,21 @@ class TestSoakHarness:
         assert report.crashes_injected > 0
         assert report.bit_identical is True
         assert report.unhandled_errors == []
+
+    def test_reordered_lines_do_not_crash_workers(
+        self, trained_model, soak_lines
+    ):
+        # Late anomalous lines reach the monitor out of time order; they
+        # must be absorbed, not surface as worker crashes and restarts.
+        report = run_soak(
+            trained_model,
+            soak_lines,
+            FaultProfile(reorder_window=8),
+            seed=1,
+            config=ServeConfig(num_shards=2),
+        )
+        assert report.unhandled_errors == []
+        assert report.worker_restarts == report.crashes_injected
 
     def test_null_report_properties(self):
         report = SoakReport(profile="none")
