@@ -17,6 +17,13 @@ already masks dynamic fields, most clusters converge after one message;
 the tree earns its keep on messages whose dynamic parts escape the
 masking rules (free-form fragments, truncated words, ...).
 
+:meth:`TemplateMiner.match` memoizes its answer per masked message (the
+static form, of which a log holds few): the answer depends only on the
+masked tokens and on the tree, and only :meth:`TemplateMiner.add_message`
+changes the tree, so it clears the memo.  The memo holds at most
+:data:`MATCH_MEMO_CAP` entries and is cleared when full, which bounds a
+long-running service whose input keeps producing new static forms.
+
 This is an independent reimplementation of the Drain algorithm (He et
 al., ICWS 2017), the de-facto standard parser for unstructured HPC logs.
 """
@@ -27,9 +34,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from ..errors import TemplateMinerError
-from .tokenizer import MASK, tokenize
+from .tokenizer import MASK, mask_message, tokenize
 
-__all__ = ["MinedTemplate", "TemplateMiner"]
+__all__ = ["MATCH_MEMO_CAP", "MinedTemplate", "TemplateMiner"]
+
+#: Most masked messages :meth:`TemplateMiner.match` remembers at once.
+MATCH_MEMO_CAP = 65536
+
+_UNSEEN = object()
 
 
 @dataclass
@@ -109,6 +121,7 @@ class TemplateMiner:
         self.max_children = max_children
         self._root: Dict[int, _Node] = {}
         self._templates: list[MinedTemplate] = []
+        self._match_memo: Dict[str, Optional[MinedTemplate]] = {}
 
     # ------------------------------------------------------------------
     # accessors
@@ -136,6 +149,7 @@ class TemplateMiner:
         tokens = tokenize(message)
         if not tokens or tokens == [""]:
             raise TemplateMinerError("cannot mine an empty message")
+        self._match_memo.clear()
         node = self._descend(tokens, create=True)
         assert node is not None
         best = self._best_cluster(node, tokens)
@@ -149,11 +163,16 @@ class TemplateMiner:
 
     def match(self, message: str) -> Optional[MinedTemplate]:
         """Find the template for *message* without modifying the tree."""
-        tokens = tokenize(message)
-        node = self._descend(tokens, create=False)
-        if node is None:
-            return None
-        return self._best_cluster(node, tokens)
+        masked = mask_message(message)
+        found = self._match_memo.get(masked, _UNSEEN)
+        if found is _UNSEEN:
+            tokens = masked.split(" ")
+            node = self._descend(tokens, create=False)
+            found = None if node is None else self._best_cluster(node, tokens)
+            if len(self._match_memo) >= MATCH_MEMO_CAP:
+                self._match_memo.clear()
+            self._match_memo[masked] = found
+        return found
 
     def fit(self, messages: Iterable[str]) -> "TemplateMiner":
         """Mine every message in *messages*; returns self for chaining."""

@@ -11,14 +11,21 @@ The masking rules are applied in priority order — composite dynamic
 tokens (IP addresses, device ids, Lustre target names) are masked before
 the generic number rules so their constant punctuation does not leak
 into the static phrase.
+
+A rule is skipped when the raw message lacks a literal that every match
+of its regex contains (:data:`_REQUIRES`, plus a digit for every rule
+but ``path``).  The skip is exact: a substitution replaces a span with
+``<*>``, which holds no digit and none of the literals and keeps the
+characters on either side of the span apart, so it cannot create a
+literal.  One absent from the raw message is absent at every later
+step, and its rule could not have fired.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
-__all__ = ["MASK", "mask_message", "mask_many", "tokenize", "DYNAMIC_PATTERNS"]
+__all__ = ["MASK", "mask_message", "tokenize", "DYNAMIC_PATTERNS"]
 
 MASK = "<*>"
 
@@ -38,7 +45,23 @@ DYNAMIC_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
     ("hex_bare", re.compile(r"\b(?=[a-f]*\d)[0-9a-f]{6,}\b")),
 )
 
-_WS_RE = re.compile(r"\s+")
+#: Rule name -> a literal every match of that rule contains.
+_REQUIRES = {
+    "hex_prefixed": "0x",
+    "ipv4": ".",
+    "lustre_target": "snx",
+    "nid": "nid",
+    "pci_devid": ":",
+    "path": "/",
+}
+
+#: (regex, required literal or None, needs a digit) per rule, in order.
+_GUARDED = tuple(
+    (pattern, _REQUIRES.get(name), name != "path")
+    for name, pattern in DYNAMIC_PATTERNS
+)
+
+_DIGIT_RE = re.compile(r"\d")
 
 
 def mask_message(message: str) -> str:
@@ -53,9 +76,15 @@ def mask_message(message: str) -> str:
     'hwerr[<*>]: Correctable AER_BAD_TLP Error <*>'
     """
     out = message
-    for _, pattern in DYNAMIC_PATTERNS:
+    has_digit = _DIGIT_RE.search(message) is not None
+    for pattern, literal, needs_digit in _GUARDED:
+        if needs_digit and not has_digit:
+            continue
+        if literal is not None and literal not in message:
+            continue
         out = pattern.sub(MASK, out)
-    return _WS_RE.sub(" ", out).strip()
+    # str.split() splits on exactly the characters re's \s matches.
+    return " ".join(out.split())
 
 
 def tokenize(message: str) -> list[str]:
@@ -66,8 +95,3 @@ def tokenize(message: str) -> list[str]:
     occurrences of the same message family.
     """
     return mask_message(message).split(" ")
-
-
-def mask_many(messages: Iterable[str]) -> list[str]:
-    """Vectorized convenience wrapper: mask every message in a batch."""
-    return [mask_message(m) for m in messages]

@@ -102,8 +102,10 @@ def parse_line(line: str) -> LogRecord:
     if m is None:
         raise ParseError(f"unparseable log line: {line!r}")
     try:
-        when = _dt.datetime.strptime(m.group("ts"), "%Y-%m-%dT%H:%M:%S.%f")
-    except ValueError as exc:  # pragma: no cover - regex prevalidates
+        # _LINE_RE fixes the layout but not the ranges: "2015-13-01T..."
+        # and "2015-02-30T..." match it and fail here.
+        when = _dt.datetime.fromisoformat(m.group("ts"))
+    except ValueError as exc:
         raise ParseError(f"bad timestamp in line: {line!r}") from exc
     timestamp = (when - EPOCH).total_seconds()
     if timestamp < 0:

@@ -1,8 +1,12 @@
 """Tests for the Drain-style template miner."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import TemplateMinerError
+from repro.parsing import miner as miner_module
 from repro.parsing.miner import MinedTemplate, TemplateMiner
 from repro.parsing.tokenizer import MASK
 
@@ -125,3 +129,67 @@ class TestTemplateMiner:
             for _ in range(3):
                 miner.add_message(t.fill(rng))
         assert len(miner) == len(catalog)
+
+
+class TestMatchMemo:
+    def test_add_message_invalidates_a_remembered_miss(self):
+        miner = TemplateMiner()
+        assert miner.match("disk sda offline") is None
+        added = miner.add_message("disk sda offline")
+        assert miner.match("disk sda offline") is added
+
+    def test_add_message_invalidates_a_remembered_answer(self):
+        """A template generalized by ``add_message`` must be found again."""
+        miner = TemplateMiner()
+        template = miner.add_message("a b c d e")
+        assert miner.match("a b c y z") is None  # 3/5 similar
+        assert miner.add_message("a b c d z") is template  # 4/5: absorbed
+        assert template.tokens == ["a", "b", "c", "d", MASK]
+        assert miner.match("a b c y z") is template  # now 4/5
+
+    def test_memo_is_keyed_on_the_masked_form(self):
+        miner = TemplateMiner()
+        template = miner.add_message("Killed process 123 (aprun)")
+        assert miner.match("Killed process 9 (aprun)") is template
+        assert miner.match("Killed   process 77 (aprun)") is template
+        assert len(miner._match_memo) == 1
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(miner_module, "MATCH_MEMO_CAP", 8)
+        miner = TemplateMiner()
+        template = miner.add_message("known message")
+        for i in range(50):
+            assert miner.match("unseen " + "w" * (i + 1)) is None
+            assert len(miner._match_memo) <= 8
+        assert miner.match("known message") is template
+
+    def test_concurrent_matches_agree_with_serial(self, monkeypatch, catalog, rng):
+        """Threads sharing one memo (cleared often here) get serial answers."""
+        monkeypatch.setattr(miner_module, "MATCH_MEMO_CAP", 4)
+        miner = TemplateMiner()
+        for t in catalog:
+            miner.add_message(t.fill(rng))
+        messages = [t.fill(rng) for t in catalog] + [f"unseen {w}" for w in "abcdefgh"]
+        expected = [miner.match(m) for m in messages]
+        mismatches = []
+
+        def worker():
+            for _ in range(20):
+                got = [miner.match(m) for m in messages]
+                if got != expected:
+                    mismatches.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not mismatches
+        # Check-then-insert: each thread can add one entry past the cap.
+        assert len(miner._match_memo) <= 4 + len(threads)

@@ -94,6 +94,16 @@ class TestFitTransform:
         b = fitted_parser.transform(small_log.records[:200])
         assert [e.phrase_id for e in a.events] == [e.phrase_id for e in b.events]
 
+    def test_transform_after_second_fit_matches_fresh_parser(self, small_log):
+        """Phrases mined by a later ``fit`` reach a parser that already encoded."""
+        records = list(small_log.records)
+        first, second = records[:300], records[300:]
+        parser = LogParser().fit(first)
+        assert parser.transform(records).skipped > 0
+        parser.fit(second)
+        fresh = LogParser().fit(first + second)
+        assert parser.transform(records) == fresh.transform(records)
+
 
 class TestFromVocabulary:
     def test_reconstruction_matches_original(self, small_log, fitted_parser):

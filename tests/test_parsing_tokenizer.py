@@ -1,9 +1,29 @@
 """Tests for static/dynamic masking (Table 2 semantics)."""
 
-import pytest
-from hypothesis import given, strategies as st
+import re
+import sys
 
-from repro.parsing.tokenizer import MASK, mask_message, tokenize
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.parsing.tokenizer import DYNAMIC_PATTERNS, MASK, mask_message, tokenize
+from repro.simlog.templates import default_catalog
+
+
+def reference_mask(message: str) -> str:
+    """Every rule in order, unguarded: what :func:`mask_message` must equal."""
+    out = message
+    for _, pattern in DYNAMIC_PATTERNS:
+        out = pattern.sub(MASK, out)
+    return re.sub(r"\s+", " ", out).strip()
+
+
+#: Fragments that trigger (or nearly trigger) every masking rule.
+_TRIGGERS = st.sampled_from(
+    ["snx", "nid", "OST", "0x", "t", "x", ".", "/", ":", "-", " ", "\t", "\u00a0"]
+    + list("0123456789abcdef")
+)
 
 
 class TestMaskingRules:
@@ -53,6 +73,40 @@ class TestMaskingRules:
     @given(st.integers(0, 2**32 - 1), st.integers(100, 65535))
     def test_property_numbers_always_masked(self, a, b):
         assert mask_message(f"val {a} pid {b}") == f"val {MASK} pid {MASK}"
+
+
+class TestRuleGuards:
+    """The literal guards skip a rule only when it could not have fired."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TRIGGERS, max_size=40).map("".join))
+    def test_property_equals_unguarded_loop(self, message):
+        assert mask_message(message) == reference_mask(message)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_catalog_equals_unguarded_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for template in default_catalog():
+            for _ in range(5):
+                message = template.fill(rng)
+                assert mask_message(message) == reference_mask(message), template.key
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "no digits here at all",
+            "path only /var/log/messages",
+            "snx nid OST 0x without numbers",
+            "unicode digit \u0663\u0664 and /p",
+        ],
+    )
+    def test_guarded_edge_cases(self, message):
+        assert mask_message(message) == reference_mask(message)
+
+    def test_str_split_whitespace_is_regex_whitespace(self):
+        """``" ".join(s.split())`` equals the ``\\s+`` collapse on every code point."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 class TestTokenize:

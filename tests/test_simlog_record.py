@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ParseError
+from repro.resilience import HardenedIngestor, IngestConfig
 from repro.simlog.record import EPOCH, LogRecord, parse_line, render_line
 from repro.topology import CrayNodeId
 
@@ -56,6 +57,34 @@ def test_property_round_trip(timestamp, message):
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_line(bad)
+
+
+#: Lines whose timestamp fits the layout regex (``\d`` is Unicode) but
+#: is no ISO instant.
+_OUT_OF_RANGE = [
+    "2015-13-01T00:00:00.000000 c0-0c0s0n0 kernel: month 13",
+    "2015-02-30T00:00:00.000000 c0-0c0s0n0 kernel: february 30",
+    "2015-06-01T24:00:00.000000 c0-0c0s0n0 kernel: hour 24",
+    "2015-06-01T23:59:60.000000 c0-0c0s0n0 kernel: leap second",
+    "\uff12015-06-01T00:00:00.000000 c0-0c0s0n0 kernel: full-width digit",
+]
+
+
+@pytest.mark.parametrize("line", _OUT_OF_RANGE)
+def test_parse_rejects_out_of_range_timestamp(line):
+    with pytest.raises(ParseError, match="bad timestamp"):
+        parse_line(line)
+
+
+def test_ingest_quarantines_out_of_range_timestamps():
+    ingestor = HardenedIngestor(IngestConfig(max_bad_ratio=1.0))
+    good = "2015-06-01T12:00:00.500000 c0-0c0s0n0 kernel: fine"
+    assert ingestor.accept_line(good).timestamp == pytest.approx(151 * 86400 + 43200.5)
+    for line in _OUT_OF_RANGE:
+        assert ingestor.accept_line(line) is None
+    assert ingestor.stats.quarantined == len(_OUT_OF_RANGE)
+    assert ingestor.stats.records_out == 1
+    assert [d.line for d in ingestor.dead_letters] == _OUT_OF_RANGE
 
 
 def test_parse_rejects_pre_epoch():
