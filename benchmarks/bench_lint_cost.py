@@ -6,8 +6,7 @@ part of the edit-test loop.  Budget: one full pass over ``src/repro``
 applied) in under 15 seconds.  The super-linear pieces are
 timed separately to catch complexity regressions early:
 
-* the R2 reachability pass builds a whole-project call graph;
-* the F1/F2/F4 dataflow pass builds a CFG per function and iterates
+* the F1/F4 dataflow pass builds a CFG per function and iterates
   the shape domain to a fixpoint;
 * the F4 async pass adds the lockset fixpoint per coroutine.
 
@@ -29,8 +28,8 @@ BUDGET_SECONDS = 15.0
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 #: Rule ids by analysis family, kept in sync with Rule.category.
-SYNTACTIC = ["R1", "R2", "R3", "R4", "R5"]
-DATAFLOW = ["F1", "F2", "F4"]
+SYNTACTIC = ["R1", "R4", "R5"]
+DATAFLOW = ["F1", "F4"]
 #: The async-aware subset of the dataflow family.
 ASYNC_RULES = ["F4"]
 
@@ -87,8 +86,8 @@ def test_full_repo_lint_under_budget(capsys):
             f"full lint (R/F)          {full_seconds:6.2f}s  "
             f"({modules} modules)"
         )
-        print(f"  syntactic (R1-R5)      {syntactic_seconds:6.2f}s")
-        print(f"  dataflow (F1, F2, F4)  {dataflow_seconds:6.2f}s")
+        print(f"  syntactic (R1, R4, R5) {syntactic_seconds:6.2f}s")
+        print(f"  dataflow (F1, F4)      {dataflow_seconds:6.2f}s")
         print(f"    F4 async pass        {async_seconds:6.2f}s")
         print("  per rule (parse excluded):")
         for rule_id in slowest:

@@ -54,9 +54,9 @@ Commands
     report — restarts, recovery times vs the SLO, shed/retry
     accounting, and bit-identity vs a fault-free run.
 ``lint``
-    Run the deshlint static-analysis gate — syntactic rules R1-R5 and
-    the dataflow analyses F1, F2 and F4 (shape flow, stage artifact
-    flow, async atomicity) — over source paths; exits 1 on any finding
+    Run the deshlint static-analysis gate — syntactic rules R1, R4 and
+    R5 and the dataflow analyses F1 and F4 (shape flow, async
+    atomicity) — over source paths; exits 1 on any finding
     not covered by an inline suppression or the baseline file.
     ``--sarif`` additionally writes a SARIF 2.1.0 log for GitHub code
     scanning; ``--rules list`` prints the registry grouped by category.
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True, help="markdown output path")
 
     li = sub.add_parser(
-        "lint", help="run deshlint static analysis (R1-R5, F1, F2, F4)"
+        "lint", help="run deshlint static analysis (R1, R4, R5, F1, F4)"
     )
     li.add_argument(
         "paths",
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         nargs="?",
         const="list",
-        help="comma-separated rule subset (e.g. R1,F2); default: all rules; "
+        help="comma-separated rule subset (e.g. R1,F4); default: all rules; "
         "bare --rules (or --rules list) prints the registry by category",
     )
     li.add_argument(

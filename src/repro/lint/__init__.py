@@ -1,18 +1,13 @@
 """deshlint — AST-based invariant checking for the Desh reproduction.
 
-The reproduction's trust chain (30/70 split, per-phase seeds, PR-1
-checkpoint bit-identity, PR-2 fingerprint-cache correctness) depends on
-invariants no test exercises directly: seeded RNG threading, pure
-pipeline stages, hash-order-free serialization, typed errors, and an
-honest public API.  deshlint machine-enforces them:
+The reproduction's trust chain (30/70 split, per-phase seeds,
+checkpoint bit-identity) depends on invariants no test exercises
+directly: seeded RNG threading, typed errors and an honest public API.
+deshlint machine-enforces them:
 
 =====  ==============================================================
 R1     RNG discipline — no stdlib ``random``, no module-level
        ``np.random`` samplers; thread ``np.random.Generator`` objects.
-R2     Stage purity — nothing reachable from a ``Stage.run`` may read
-       the wall clock, the environment or OS entropy; ``run`` must not
-       mutate its ``StageContext``.
-R3     Determinism hygiene — no hash-order iteration over bare sets.
 R4     Exception hygiene — no bare excepts; broad catches need an
        ``allow[R4]`` justification; raise ``repro.errors`` types.
 R5     Public API — docstrings + truthful ``__all__`` everywhere.
@@ -27,13 +22,15 @@ in the same engine:
 F1     Shape flow — abstract-interpret numpy/``repro.nn`` code against
        the declared ``@tensor_contract`` specs; report *provable*
        shape/dtype mismatches with the inferred shape chain.
-F2     Stage artifact flow — ``ctx.value()`` reads must be declared
-       deps with a producer of a compatible type; non-terminal
-       artifacts must have a consumer.
 F4     Async atomicity — no read-modify-write or check-then-act on
        shared ``self.*`` state across an ``await`` without a common
        ``asyncio.Lock`` held over the window.
 =====  ==============================================================
+
+Stage isolation and reproducibility are checked at run time instead:
+the pipeline runner hands each stage only its declared deps, and
+``tests/test_pipeline_hashseed.py`` compares artifact stores across
+hash seeds.
 
 Findings are suppressed inline with ``# deshlint: allow[RULE] reason``
 (reason mandatory) or grandfathered via a checked-in baseline file;

@@ -2,8 +2,7 @@
 
 :func:`lint_paths` is the whole programmatic API surface: it walks the
 given files/directories, parses each module once, runs every registered
-rule (module-local hooks first, then whole-project hooks such as R2's
-reachability pass), drops findings covered by inline
+rule over each module, drops findings covered by inline
 ``# deshlint: allow[RULE] reason`` comments, and finally splits what
 remains against the checked-in baseline.  :func:`lint_source` wraps a
 single in-memory snippet — the unit-test entry point.
@@ -122,9 +121,6 @@ def _run_rules(
     for module in modules:
         for rule in rules:
             findings.extend(rule.check_module(module))
-    # Whole-project hooks (R2, F2) need every module at once.
-    for rule in rules:
-        findings.extend(rule.check_project(modules))
     return findings
 
 
@@ -192,9 +188,9 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one in-memory source snippet; returns its findings.
 
-    The snippet is parsed as a stand-alone module, so project-wide rules
-    (R2) see exactly this one module.  Raises :class:`LintError` when
-    the snippet does not parse — unit tests should feed valid Python.
+    The snippet is parsed as a stand-alone module with the dotted path
+    *module_path*.  Raises :class:`LintError` when the snippet does not
+    parse — unit tests should feed valid Python.
     """
     try:
         tree = ast.parse(source, filename=path)

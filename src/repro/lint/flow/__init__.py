@@ -1,9 +1,9 @@
 """deshflow — the deshlint dataflow engine.
 
-The R rules are syntactic: they pattern-match single AST nodes (plus
-R2's call-graph reachability).  This package adds the *semantic* half —
-a from-scratch intraprocedural dataflow framework and the analyses
-built on it, registered as deshlint rules F1, F2 and F4:
+The R rules are syntactic: they pattern-match single AST nodes.  This
+package adds the *semantic* half — a from-scratch intraprocedural
+dataflow framework and the analyses built on it, registered as deshlint
+rules F1 and F4:
 
 * :mod:`cfg` — per-function control-flow graph builder over the Python
   AST (if/while/for with else clauses, try/except/finally, with,
@@ -16,15 +16,13 @@ built on it, registered as deshlint rules F1, F2 and F4:
   layers declare (harvested from :mod:`repro.nn.contracts`);
 * :mod:`shapeflow` — **F1**: abstract interpretation of tensor shapes
   through layer call sites, reporting statically-provable mismatches;
-* :mod:`stageflow` — **F2**: producer/consumer consistency of stage
-  artifacts across the pipeline DAG;
 * :mod:`atomicity` — **F4**: check-then-act / read-modify-write
   sequences on shared ``self.*`` state of the serving layer that span
   an await point without a common ``asyncio.Lock`` held across the
   window (the CFG marks every await point as a yield of control; see
   :func:`~repro.lint.flow.cfg.head_awaits`).
 
-All three plug into the ordinary rule engine: suppressions
+Both plug into the ordinary rule engine: suppressions
 (``# deshlint: allow[F1] reason``), the baseline, ``--rules`` subsets
 and the CI gate apply unchanged.
 """

@@ -56,8 +56,8 @@ __all__ = ["AtomicityRule"]
 #: asyncio primitives whose instances act as locks for the analysis.
 _LOCK_FACTORIES = {"Lock", "Condition", "Semaphore", "BoundedSemaphore"}
 
-#: Method names that mutate their receiver in place (superset of R2's
-#: container mutators, extended with the serve-layer vocabulary).
+#: Method names that mutate their receiver in place: the container
+#: mutators plus the serve-layer vocabulary.
 _WRITE_METHODS = {
     "append", "appendleft", "extend", "extendleft", "insert", "remove",
     "pop", "popleft", "popitem", "clear", "update", "setdefault", "add",

@@ -1,7 +1,7 @@
 """Shared AST name-resolution helpers for deshlint rules.
 
-Rules that reason about *what a call refers to* (R1 RNG discipline, R2
-stage purity, R4 exception hygiene) all need the same primitive: expand
+Rules that reason about *what a call refers to* (R1 RNG discipline, R4
+exception hygiene, F1 shape flow) all need the same primitive: expand
 a ``Name``/``Attribute`` chain against the module's import aliases into
 a best-effort dotted path like ``numpy.random.randint``.  This is a
 purely syntactic resolution — no imports are executed.

@@ -3,18 +3,16 @@
 A rule is a subclass of :class:`Rule` registered with :func:`register`.
 Rules see the repo through :class:`ModuleInfo` snapshots (path, source,
 parsed AST) and report :class:`~repro.lint.findings.Finding` objects
-from one or both hooks:
+from one hook, :meth:`Rule.check_module`, which checks each module
+independently.
 
-* :meth:`Rule.check_module` — independent per-module checks;
-* :meth:`Rule.check_project` — whole-program checks that need every
-  module at once (R2's stage-purity reachability analysis).
-
-Importing this package loads the built-in rules R1–R5 and the dataflow
-rules F1, F2 and F4; external code can register additional rules before calling
-the engine.  Every rule carries a ``category`` — ``"syntactic"`` for AST
-pattern checks, ``"dataflow"`` for the CFG/fixpoint analyses under
-:mod:`repro.lint.flow` — which the CLI uses to group ``--rules list``
-output and the benchmark uses to time the passes separately.
+Importing this package loads the built-in rules R1, R4 and R5 and the
+dataflow rules F1 and F4; external code can register additional rules
+before calling the engine.  Every rule carries a ``category`` —
+``"syntactic"`` for AST pattern checks, ``"dataflow"`` for the
+CFG/fixpoint analyses under :mod:`repro.lint.flow` — which the CLI uses
+to group ``--rules list`` output and the benchmark uses to time the
+passes separately.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Type
+from typing import Iterable, Type
 
 from ...errors import LintError
 from ..findings import Finding, RelatedSite
@@ -106,10 +104,6 @@ class Rule:
         """Findings derivable from one module in isolation."""
         return ()
 
-    def check_project(self, modules: Sequence[ModuleInfo]) -> Iterable[Finding]:
-        """Findings that need the whole module set (cross-file analysis)."""
-        return ()
-
 
 _REGISTRY: dict[str, Type[Rule]] = {}
 
@@ -143,7 +137,7 @@ def get_rules(ids: Iterable[str]) -> list[Rule]:
     """Fresh instances of the named rules; unknown or repeated ids raise.
 
     A repeated id would run the rule twice and double-report every
-    finding, so ``--rules R2,R2`` is a usage error, not a no-op.
+    finding, so ``--rules R1,R1`` is a usage error, not a no-op.
     """
     out = []
     seen = set()
@@ -169,5 +163,5 @@ def rules_by_category() -> dict[str, list[Rule]]:
 # Built-in rules register themselves on import.  The dataflow rules live
 # under repro.lint.flow (they share the CFG/solver machinery) but hook
 # into the same registry.
-from . import api, determinism, exceptions, purity, rng  # noqa: E402,F401
-from ..flow import atomicity, shapeflow, stageflow  # noqa: E402,F401
+from . import api, exceptions, rng  # noqa: E402,F401
+from ..flow import atomicity, shapeflow  # noqa: E402,F401

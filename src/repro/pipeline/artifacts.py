@@ -13,13 +13,16 @@ a manifest — invisible to :meth:`ArtifactStore.has` and simply
 overwritten by the next save.  Loads that fail (corrupt payloads) raise
 :class:`~repro.errors.ArtifactError`; the runner treats that as a cache
 miss and recomputes.
+
+The manifest holds nothing but the stage name and fingerprint (plus any
+caller ``meta``), so the same cold run writes a byte-identical store
+under any ``PYTHONHASHSEED`` (``tests/test_pipeline_hashseed.py``).
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional, TypeVar
@@ -106,9 +109,6 @@ class ArtifactStore:
         manifest = {
             "stage": stage,
             "fingerprint": fingerprint,
-            # deshlint: allow[R2] provenance metadata only: the creation
-            # timestamp is never fingerprinted nor part of a loaded value
-            "created": time.time(),
             **(meta or {}),
         }
         atomic_write_bytes(

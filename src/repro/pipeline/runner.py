@@ -7,12 +7,18 @@ topological order — serving any stage whose fingerprint already exists
 in the :class:`~repro.pipeline.artifacts.ArtifactStore` from disk and
 computing + materializing the rest.  A corrupt cached artifact is
 treated as a miss (recomputed and re-saved), never a crash.
+
+Each stage runs (or loads) against its own
+:class:`~repro.pipeline.stage.StageContext` holding only its declared
+deps, and the raw records only when it ``consumes_source``: whatever a
+stage can read is exactly what its fingerprint chains on, so a cached
+artifact cannot go stale behind an undeclared read.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..errors import ArtifactError, PipelineError
@@ -161,16 +167,20 @@ class PipelineRunner:
             for name in self.order:
                 stage = self.stages[name]
                 fp = fps[name]
+                stage_ctx = replace(
+                    ctx,
+                    inputs={dep: artifacts[dep].value for dep in stage.deps},
+                    records=ctx.records if stage.consumes_source else (),
+                )
                 with tracer.span(f"stage:{name}") as span:
                     start = time.perf_counter()
-                    value, hit, path = self._materialize(stage, fp, ctx)
+                    value, hit, path = self._materialize(stage, fp, stage_ctx)
                     seconds = time.perf_counter() - start
                     span.set(cache_hit=hit)
                 registry.counter(
                     "pipeline.cache_hits" if hit else "pipeline.cache_misses"
                 ).inc()
                 registry.histogram("pipeline.stage_ms").observe(seconds * 1e3)
-                ctx.inputs[name] = value
                 artifacts[name] = Artifact(
                     stage=name,
                     fingerprint=fp,

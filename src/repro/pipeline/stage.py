@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..config import DeshConfig
+from ..errors import PipelineError
 from ..simlog.record import LogRecord
 
 __all__ = ["Stage", "StageContext"]
@@ -24,10 +25,13 @@ __all__ = ["Stage", "StageContext"]
 class StageContext:
     """Everything a stage may read while running.
 
-    ``inputs`` maps upstream stage names to their computed values; the
-    runner fills it in topological order.  ``checkpoint_root`` (when
-    set) lets training stages write epoch-granular crash checkpoints
-    under ``<root>/<stage-name>``.
+    The runner hands every ``Stage.run`` and ``Stage.load`` its own
+    context: ``inputs`` maps exactly the stage's declared ``deps`` to
+    their computed values, and ``records`` holds the raw input records
+    only for a ``consumes_source`` stage (``()`` otherwise), so a stage
+    can read nothing its cache fingerprint does not chain on.
+    ``checkpoint_root`` (when set) lets training stages write
+    epoch-granular crash checkpoints under ``<root>/<stage-name>``.
     """
 
     config: DeshConfig
@@ -36,8 +40,18 @@ class StageContext:
     checkpoint_root: Optional[Path] = None
 
     def value(self, stage: str) -> object:
-        """The computed value of an upstream stage."""
-        return self.inputs[stage]
+        """The computed value of a declared upstream stage.
+
+        Raises :class:`~repro.errors.PipelineError` when *stage* is not
+        among the deps the runner populated.
+        """
+        try:
+            return self.inputs[stage]
+        except KeyError:
+            raise PipelineError(
+                f"stage read artifact {stage!r}, which is not among its "
+                f"declared deps {tuple(self.inputs)}"
+            ) from None
 
     def span(self, name: str, **attributes: object):
         """A tracing span for work inside this pipeline run.
@@ -70,10 +84,6 @@ class Stage(abc.ABC):
     #: Whether the raw input records feed this stage directly (source
     #: stages mix the data fingerprint into their cache key).
     consumes_source = False
-    #: Whether this stage's artifact is a pipeline *output* rather than
-    #: an intermediate.  Sinks set this so deshlint's F2 artifact-flow
-    #: analysis does not flag them as "produced but never consumed".
-    terminal = False
 
     @abc.abstractmethod
     def config_payload(self) -> object:

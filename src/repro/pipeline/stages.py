@@ -171,7 +171,6 @@ class Phase1Stage(Stage):
 
     name = "phase1"
     deps = ("parse", "embeddings")
-    terminal = True  # the phrase LSTM is served directly, no downstream stage
 
     def __init__(self, config: DeshConfig, *, enabled: bool = True) -> None:
         self.config = config
@@ -307,7 +306,6 @@ class ClassifierStage(Stage):
 
     name = "classifier"
     deps = ("parse", "chains")
-    terminal = True  # class profiles feed prediction, not another stage
 
     def __init__(self, config: DeshConfig) -> None:
         self.config = config
@@ -357,7 +355,6 @@ class Phase3Stage(Stage):
 
     name = "phase3"
     deps = ("phase2",)  # fingerprint edge only: scoring tracks the regressor
-    terminal = True  # phase-3 scoring parameters are the pipeline output
 
     def __init__(self, config: DeshConfig) -> None:
         self.config = config

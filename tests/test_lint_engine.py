@@ -73,12 +73,22 @@ class TestSuppressions:
         assert "SUP" in rules  # and the malformed allow is itself flagged
 
     def test_allow_for_other_rule_does_not_suppress(self):
-        # R3 did not run but is registered, so its allow is no SUP finding.
+        # R4 did not run but is registered, so its allow is no SUP finding.
         findings = lint_source(
-            "import random  # deshlint: allow[R3] wrong rule id\n",
+            "import random  # deshlint: allow[R4] wrong rule id\n",
             rules=get_rules(["R1"]),
         )
         assert {f.rule for f in findings} == {"R1"}
+
+    @pytest.mark.parametrize("rule_id", ["R2", "R3", "F2"])
+    def test_allow_naming_retired_rule_is_reported(self, rule_id):
+        # A retired rule's allow now justifies nothing.
+        findings = lint_source(
+            f"x = 1  # deshlint: allow[{rule_id}] old justification\n",
+            rules=get_rules(["R1"]),
+        )
+        assert [f.rule for f in findings] == ["SUP"]
+        assert f"unknown rule id {rule_id}" in findings[0].message
 
     def test_allow_naming_unknown_rule_is_reported(self):
         # A typo (F44) or a rule since deleted must not pass silently.
@@ -95,7 +105,7 @@ class TestSuppressions:
         )
         assert index.covers(1, "R1")
         assert index.covers(1, "R4")
-        assert not index.covers(1, "R2")
+        assert not index.covers(1, "F4")
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +179,12 @@ class TestDriver:
         with pytest.raises(LintError):
             lint_paths([tmp_path / "nope"])
 
-    @pytest.mark.parametrize("rule_id", ["R99", "F3", "F5", "F6"])
+    @pytest.mark.parametrize(
+        "rule_id", ["R99", "R2", "R3", "F2", "F3", "F5", "F6"]
+    )
     def test_unknown_rule_id_raises(self, rule_id):
-        # F3, F5 and F6 are retired ids: asking for them is a usage error.
+        # R2, R3, F2, F3, F5 and F6 are retired ids: asking for them is a
+        # usage error.
         with pytest.raises(LintError):
             get_rules([rule_id])
 
@@ -241,7 +254,7 @@ class TestCliLint:
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "deshlint"
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"R1", "F1", "F2", "F4"} <= rule_ids  # what ran, not what fired
+        assert {"R1", "F1", "F4"} <= rule_ids  # what ran, not what fired
         rule_meta = {r["id"]: r for r in driver["rules"]}
         assert {
             meta["defaultConfiguration"]["level"] for meta in rule_meta.values()
@@ -350,7 +363,6 @@ class TestRegistry:
         assert list(grouped) == ["syntactic", "dataflow"]
         flattened = {r.id for rules in grouped.values() for r in rules}
         assert flattened == {r.id for r in all_rules()}
-        assert {r.id for r in grouped["syntactic"]} == {
-            "R1", "R2", "R3", "R4", "R5",
-        }
-        assert {r.id for r in grouped["dataflow"]} == {"F1", "F2", "F4"}
+        assert [r.id for r in all_rules()] == ["F1", "F4", "R1", "R4", "R5"]
+        assert {r.id for r in grouped["syntactic"]} == {"R1", "R4", "R5"}
+        assert {r.id for r in grouped["dataflow"]} == {"F1", "F4"}

@@ -1,5 +1,5 @@
-"""Behavioural tests for the dataflow rules F1 (shape flow), F2 (stage
-artifact flow) and F4 (async atomicity).
+"""Behavioural tests for the dataflow rules F1 (shape flow) and F4
+(async atomicity).
 
 Every analysis gets at least one bad snippet proving it fires and one
 good snippet proving it stays silent; F1's good snippets double as
@@ -183,126 +183,6 @@ def test_f1_suppressible_inline():
         """,
         "F1",
     )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# F2 — stage artifact flow
-# ----------------------------------------------------------------------
-_STAGE_PRELUDE = """
-from repro.pipeline.stage import Stage
-"""
-
-_STAGE_TEMPLATE = """
-class {cls}(Stage):
-    name = "{name}"
-    deps = {deps}
-    terminal = {terminal}
-
-    def config_payload(self):
-        return {{}}
-
-    def run(self, ctx){returns}:
-        {body}
-
-    def save(self, value, directory):
-        pass
-
-    def load(self, directory, ctx):
-        return None
-"""
-
-
-def _stage(cls, name, deps=(), terminal=False, body="return 1", returns=""):
-    return _STAGE_TEMPLATE.format(
-        cls=cls,
-        name=name,
-        deps=repr(tuple(deps)),
-        terminal=terminal,
-        body=body,
-        returns=returns,
-    )
-
-
-def test_f2_fires_on_undeclared_read():
-    src = _STAGE_PRELUDE + _stage("AStage", "a", terminal=False) + _stage(
-        "BStage", "b", deps=(), terminal=True, body='return ctx.value("a")'
-    )
-    findings = _lint(src, "F2")
-    assert [f.rule for f in findings] == ["F2"]
-    assert "without declaring it in deps" in findings[0].message
-
-
-def test_f2_fires_on_consumed_but_never_produced():
-    src = _STAGE_PRELUDE + _stage(
-        "AStage", "a", terminal=True, body='return ctx.value("ghost")'
-    ) + _stage("BStage", "b", deps=("a",), terminal=True)
-    findings = _lint(src, "F2")
-    messages = [f.message for f in findings]
-    assert any("no stage produces" in m for m in messages)
-    assert any("'ghost'" in m for m in messages)
-
-
-def test_f2_fires_on_produced_but_never_consumed():
-    src = _STAGE_PRELUDE + _stage("AStage", "a") + _stage(
-        "BStage", "b", terminal=True
-    )
-    findings = _lint(src, "F2")
-    assert len(findings) == 1
-    assert "no other stage consumes" in findings[0].message
-    assert "'a'" in findings[0].message
-
-
-def test_f2_fires_on_producer_consumer_type_mismatch():
-    src = _STAGE_PRELUDE + _stage(
-        "AStage", "a", returns=" -> int", body="return 1"
-    ) + _stage(
-        "BStage",
-        "b",
-        deps=("a",),
-        terminal=True,
-        body='x: str = ctx.value("a")\n        return x',
-    )
-    findings = _lint(src, "F2")
-    assert len(findings) == 1
-    assert "reads 'a' as str" in findings[0].message
-    assert "returns int" in findings[0].message
-
-
-def test_f2_fires_on_duplicate_stage_names():
-    src = _STAGE_PRELUDE + _stage("AStage", "a", terminal=True) + _stage(
-        "A2Stage", "a", terminal=True
-    )
-    findings = _lint(src, "F2")
-    assert any("duplicate stage name 'a'" in f.message for f in findings)
-
-
-def test_f2_silent_on_consistent_dag_with_fingerprint_only_dep():
-    # "b" declares dep "a" without reading it (fingerprint chaining, the
-    # Phase3Stage pattern) — deliberately not a finding; Optional and
-    # dotted spellings of the same artifact type are not mismatches.
-    src = _STAGE_PRELUDE + "from typing import Optional\n" + _stage(
-        "AStage", "a", returns=" -> Optional[int]", body="return 1"
-    ) + _stage(
-        "BStage",
-        "b",
-        deps=("a",),
-        terminal=True,
-        body='x: int = ctx.value("a")\n        return x',
-    ) + _stage("CStage", "c", deps=("a",), terminal=True)
-    findings = _lint(src, "F2")
-    assert findings == []
-
-
-def test_f2_accepts_ctx_inputs_subscript_reads():
-    src = _STAGE_PRELUDE + _stage("AStage", "a") + _stage(
-        "BStage",
-        "b",
-        deps=("a",),
-        terminal=True,
-        body='return ctx.inputs["a"]',
-    )
-    findings = _lint(src, "F2")
     assert findings == []
 
 

@@ -95,194 +95,6 @@ class TestR1RngDiscipline:
 
 
 # ----------------------------------------------------------------------
-# R2 — stage purity
-# ----------------------------------------------------------------------
-class TestR2StagePurity:
-    def test_flags_wall_clock_in_run(self):
-        findings = run_rule(
-            "R2",
-            """
-            import time
-
-            class MyStage(Stage):
-                def run(self, ctx):
-                    return time.time()
-            """,
-        )
-        assert rules_hit(findings) == {"R2"}
-        assert "time.time" in findings[0].message
-
-    def test_flags_forbidden_call_reachable_through_helpers(self):
-        findings = run_rule(
-            "R2",
-            """
-            import os
-
-            def helper():
-                return deeper()
-
-            def deeper():
-                return os.environ["HOME"]
-
-            class MyStage(Stage):
-                def run(self, ctx):
-                    return helper()
-            """,
-        )
-        assert len(findings) == 1
-        assert "os.environ" in findings[0].message
-        assert "helper" in findings[0].message  # chain is reported
-
-    def test_flags_datetime_now_via_alias(self):
-        findings = run_rule(
-            "R2",
-            """
-            import datetime as _dt
-
-            class MyStage(Stage):
-                def run(self, ctx):
-                    return _dt.datetime.now()
-            """,
-        )
-        assert len(findings) == 1
-
-    def test_flags_context_mutation(self):
-        findings = run_rule(
-            "R2",
-            """
-            class MyStage(Stage):
-                def run(self, ctx):
-                    ctx.inputs["extra"] = 1
-                    ctx.records.append(None)
-                    return 0
-            """,
-        )
-        assert len(findings) == 2
-        assert all("read-only" in f.message for f in findings)
-
-    def test_unreachable_impurity_not_flagged(self):
-        findings = run_rule(
-            "R2",
-            """
-            import time
-
-            def unrelated():
-                return time.time()
-
-            class MyStage(Stage):
-                def run(self, ctx):
-                    return ctx.value("parse")
-            """,
-        )
-        assert findings == []
-
-    def test_pure_stage_passes(self):
-        findings = run_rule(
-            "R2",
-            """
-            class MyStage(Stage):
-                def run(self, ctx):
-                    parsed = ctx.value("parse")
-                    return [x for x in parsed]
-            """,
-        )
-        assert findings == []
-
-    def test_transitive_stage_subclass_is_entry_point(self):
-        findings = run_rule(
-            "R2",
-            """
-            import os
-
-            class BaseStage(Stage):
-                pass
-
-            class Leaf(BaseStage):
-                def run(self, ctx):
-                    return os.urandom(8)
-            """,
-        )
-        assert len(findings) == 1
-
-    def test_unresolvable_method_call_overapproximates(self):
-        findings = run_rule(
-            "R2",
-            """
-            import time
-
-            class Helper:
-                def stamp(self):
-                    return time.time()
-
-            class MyStage(Stage):
-                def run(self, ctx):
-                    obj = ctx.value("x")
-                    return obj.stamp()
-            """,
-        )
-        assert len(findings) == 1
-
-
-# ----------------------------------------------------------------------
-# R3 — determinism hygiene
-# ----------------------------------------------------------------------
-class TestR3SetOrder:
-    def test_flags_for_loop_over_set_literal(self):
-        findings = run_rule(
-            "R3",
-            """
-            for x in {"a", "b"}:
-                print(x)
-            """,
-        )
-        assert rules_hit(findings) == {"R3"}
-
-    def test_flags_list_of_set(self):
-        findings = run_rule("R3", "xs = list(set([3, 1, 2]))\n")
-        assert len(findings) == 1
-
-    def test_flags_comprehension_over_set_call(self):
-        findings = run_rule("R3", "ys = [x for x in set(items)]\n")
-        assert len(findings) == 1
-
-    def test_flags_join_of_set(self):
-        findings = run_rule("R3", "s = ','.join({\"a\", \"b\"})\n")
-        assert len(findings) == 1
-
-    def test_flags_set_union_iteration(self):
-        findings = run_rule(
-            "R3",
-            """
-            for x in set(a).union(b):
-                print(x)
-            """,
-        )
-        assert len(findings) == 1
-
-    def test_sorted_set_passes(self):
-        findings = run_rule(
-            "R3",
-            """
-            for x in sorted(set(items)):
-                print(x)
-            xs = sorted({"a", "b"})
-            """,
-        )
-        assert findings == []
-
-    def test_order_insensitive_reductions_pass(self):
-        findings = run_rule(
-            "R3",
-            """
-            n = len(set(items))
-            total = sum({1, 2, 3})
-            present = "a" in {"a", "b"}
-            """,
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
 # R4 — exception hygiene
 # ----------------------------------------------------------------------
 class TestR4ExceptionHygiene:

@@ -1,8 +1,8 @@
 """Tier-1 self-lint gate: the repo's own source must pass deshlint.
 
 This is the same check CI runs via ``repro lint``: every rule (the
-syntactic R1-R5 and the dataflow F1, F2, F4) over the installed ``repro``
-package, with the checked-in baseline applied.
+syntactic R1, R4, R5 and the dataflow F1, F4) over the installed
+``repro`` package, with the checked-in baseline applied.
 Any new finding turns the suite red.
 """
 
@@ -47,7 +47,7 @@ def test_baseline_carries_no_stale_entries():
 
 
 def test_dataflow_rules_clean_with_empty_baseline():
-    """F1, F2 and F4 hold over the tree without grandfathered debt.
+    """F1 and F4 hold over the tree without grandfathered debt.
 
     The dataflow analyses were introduced with a clean slate: the
     checked-in baseline must stay empty, and running only the F rules
@@ -59,7 +59,7 @@ def test_dataflow_rules_clean_with_empty_baseline():
     assert entries == [], "lint-baseline.json must stay empty"
     report = lint_paths(
         [PACKAGE_DIR],
-        rules=get_rules(["F1", "F2", "F4"]),
+        rules=get_rules(["F1", "F4"]),
     )
     rendered = "\n".join(f.render() for f in report.findings)
     assert not report.findings, f"dataflow rules flag the repo:\n{rendered}"
@@ -97,38 +97,21 @@ def _write_violation_tree(root: Path) -> Path:
             '''
         ).lstrip()
     )
-    (pkg / "stages.py").write_text(
+    (pkg / "shapes.py").write_text(
         textwrap.dedent(
             '''
             """Doc."""
 
-            from repro.pipeline.stage import Stage
+            import numpy as np
 
-            __all__ = ["AStage", "BStage"]
+            from repro.nn.layers import Dense
 
-
-            class AStage(Stage):
-                """Produces artifact a."""
-
-                name = "a"
-                deps = ()
-                terminal = False
-
-                def run(self, ctx):
-                    """Make a."""
-                    return 1
+            __all__ = ["project"]
 
 
-            class BStage(Stage):
-                """Reads a without declaring it."""
-
-                name = "b"
-                deps = ()
-                terminal = True
-
-                def run(self, ctx):
-                    """Read a."""
-                    return ctx.value("a")
+            def project(rng: np.random.Generator) -> np.ndarray:
+                """Feed 5 features to a layer that takes 4."""
+                return Dense(4, 8, rng).forward(np.zeros((3, 5)))
             '''
         ).lstrip()
     )
@@ -139,10 +122,10 @@ def test_lint_output_byte_identical_across_hash_seeds(tmp_path):
     """Determinism gate: stdout and SARIF are byte-identical under
     PYTHONHASHSEED 0, 1 and 2.
 
-    The dataflow rules walk dicts and sets of attribute names, stage
-    names and deps — any hash-order leak shows up as reordered findings
-    or messages the moment the hash seed moves, so every run must
-    collapse to one byte string.
+    The dataflow rules walk dicts and sets of variable, attribute and
+    layer names — any hash-order leak shows up as reordered findings or
+    messages the moment the hash seed moves, so every run must collapse
+    to one byte string.
     """
     pkg = _write_violation_tree(tmp_path)
     src = Path(repro.__file__).resolve().parents[1]
@@ -173,16 +156,16 @@ def test_lint_output_byte_identical_across_hash_seeds(tmp_path):
         outputs.add((run.stdout, sarif.read_bytes()))
     assert len(outputs) == 1, "lint output varies with the hash seed"
     stdout = next(iter(outputs))[0]
-    for rule in ("R1", "F2", "F4"):
+    for rule in ("R1", "F1", "F4"):
         assert rule in stdout
 
 
 def test_report_invariant_under_module_discovery_order(tmp_path):
     """Shuffling the module list must not change the report.
 
-    Project-wide hooks and the final sort see modules in discovery
-    order; a rule that accumulates state across modules in a
-    order-sensitive way would leak it here.
+    Rules see modules one at a time in discovery order, and the final
+    sort puts findings back in location order; a rule that carried
+    state from one module to the next would leak it here.
     """
     pkg = _write_violation_tree(tmp_path)
     modules, errors = load_modules([pkg])

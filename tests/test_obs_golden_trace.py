@@ -72,7 +72,6 @@ class CountStage(Stage):
 
     name = "count"
     deps = ("parse",)
-    terminal = True
 
     def config_payload(self) -> object:
         """Static payload (the stage has no knobs)."""

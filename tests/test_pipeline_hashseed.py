@@ -1,11 +1,16 @@
-"""Stage fingerprints must not depend on PYTHONHASHSEED.
+"""Stage fingerprints and artifacts must not depend on PYTHONHASHSEED.
 
 Fingerprints are SHA-256 digests over canonicalized config payloads
 chained through the stage DAG; if any serialization step leaked set or
 dict-hash iteration order, the cache key would differ between
-interpreter runs and every artifact cache would silently miss.  This is
-exactly the invariant deshlint rule R3 protects statically — this test
-checks it end-to-end across interpreters with different hash seeds.
+interpreter runs and every artifact cache would silently miss.
+
+The artifact store is held to the same standard byte for byte: a cold
+pipeline run on the same records must write identical files (payloads
+and manifests) under every hash seed.  That catches hash-order leaks
+anywhere on the way to an output, set-typed variables included, and any
+wall-clock or entropy value (``time.time``, ``uuid4``, ``os.urandom``)
+that reaches an artifact.
 """
 
 import json
@@ -25,10 +30,55 @@ print(json.dumps(runner.fingerprints("d" * 64), sort_keys=True))
 """
 
 
-def _fingerprints_under(hashseed: str) -> dict:
+_STORE_PROBE = """\
+import sys
+
+import numpy as np
+
+from repro.config import (
+    DeshConfig,
+    EmbeddingConfig,
+    Phase1Config,
+    Phase2Config,
+    Phase3Config,
+)
+from repro.pipeline import DeshPipeline
+from repro.simlog import GeneratorConfig, LogGenerator
+from repro.topology import ClusterTopology
+
+topology = ClusterTopology(
+    cabinet_cols=2,
+    cabinet_rows=1,
+    chassis_per_cabinet=2,
+    slots_per_chassis=2,
+    nodes_per_blade=2,
+)
+log = LogGenerator(topology).generate(
+    GeneratorConfig(
+        horizon=10 * 3600.0,
+        failure_count=80,
+        near_miss_ratio=0.5,
+        maintenance_count=1,
+        background_rate=1 / 180.0,
+    ),
+    np.random.default_rng(42),
+)
+train, _ = log.split(0.3)
+config = DeshConfig(
+    embedding=EmbeddingConfig(dim=12, epochs=1),
+    phase1=Phase1Config(hidden_size=16, epochs=1, batch_size=128),
+    phase2=Phase2Config(hidden_size=32, epochs=5, learning_rate=0.01),
+    phase3=Phase3Config(),
+    seed=7,
+)
+DeshPipeline(config, cache_dir=sys.argv[1]).run(list(train.records))
+"""
+
+
+def _run_probe(probe: str, hashseed: str, *args: str) -> str:
     src_dir = Path(repro.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", probe, *args],
         env={
             "PYTHONPATH": str(src_dir),
             "PYTHONHASHSEED": hashseed,
@@ -38,12 +88,39 @@ def _fingerprints_under(hashseed: str) -> dict:
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    return result.stdout
+
+
+def _store_files(root: Path) -> list[tuple[str, bytes]]:
+    """Every file under *root* as sorted ``(relative path, bytes)`` pairs."""
+    return sorted(
+        (path.relative_to(root).as_posix(), path.read_bytes())
+        for path in root.rglob("*")
+        if path.is_file()
+    )
 
 
 def test_stage_fingerprints_identical_across_hash_seeds():
-    runs = [_fingerprints_under(seed) for seed in ("0", "1", "2")]
+    runs = [json.loads(_run_probe(_PROBE, seed)) for seed in ("0", "1", "2")]
     assert runs[0] == runs[1] == runs[2]
     # Sanity: the probe really produced the full DAG.
     assert len(runs[0]) == 7
     assert all(len(fp) == 64 for fp in runs[0].values())
+
+
+def test_artifact_store_byte_identical_across_hash_seeds(tmp_path):
+    stores = []
+    for seed in ("0", "1", "2"):
+        root = tmp_path / f"store{seed}"
+        _run_probe(_STORE_PROBE, seed, str(root))
+        stores.append(_store_files(root))
+    # Sanity: every stage of the DAG landed, each with its manifest.
+    names = [name for name, _ in stores[0]]
+    assert sum(name.endswith("/artifact.json") for name in names) == 7
+    assert any(name.endswith(".npz") for name in names)
+    for seed, files in zip(("1", "2"), stores[1:]):
+        differing = sorted({name for name, _ in set(files) ^ set(stores[0])})
+        assert not differing, (
+            f"artifact store differs under PYTHONHASHSEED={seed} vs 0: "
+            f"{differing}"
+        )

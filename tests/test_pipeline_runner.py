@@ -86,12 +86,34 @@ class _Constant(_JsonStage):
         return [42]
 
 
+class _Peek(_JsonStage):
+    """Reads an arbitrary artifact and records every context it sees."""
+
+    def __init__(self, name, deps=(), *, reads=None, **kw):
+        super().__init__(name, deps=deps, **kw)
+        self.reads = reads
+        self.seen = []
+
+    def run(self, ctx):
+        self.seen.append(("run", dict(ctx.inputs), ctx.records))
+        if self.reads is None:
+            return [1]
+        return [ctx.value(self.reads)[0] + 1]
+
+    def load(self, directory: Path, ctx):
+        self.seen.append(("load", dict(ctx.inputs), ctx.records))
+        return super().load(directory, ctx)
+
+
 def _stages():
     return [_Numbers(), _Double(), _Total(), _Constant()]
 
 
 def _ctx():
     return StageContext(config=DeshConfig())
+
+
+_RECORDS = (LogRecord(1.0, "c0-0c0s0n0", "kernel", "hello"),)
 
 
 class TestDagValidation:
@@ -226,6 +248,56 @@ class TestRunnerExecution:
             _ctx(), data_fingerprint="d1"
         )
         assert "double" in healed.cache_hits
+
+
+class TestStageIsolation:
+    """Each stage sees only its declared deps, and records only as a source."""
+
+    def test_undeclared_read_of_finished_stage_raises(self):
+        # "numbers" runs before "peek" (name order), but "peek" does not
+        # declare it: its fingerprint would not chain on "numbers".
+        peek = _Peek("peek", reads="numbers")
+        runner = PipelineRunner([_Numbers(), peek])
+        assert runner.order == ["numbers", "peek"]
+        with pytest.raises(PipelineError, match="'numbers'") as info:
+            runner.run(_ctx())
+        assert "declared deps ()" in str(info.value)
+
+    def test_declared_read_sees_only_its_deps(self):
+        peek = _Peek("peek", deps=("double",), reads="double")
+        result = PipelineRunner(_stages() + [peek]).run(
+            StageContext(config=DeshConfig(), records=_RECORDS)
+        )
+        assert result.value("peek") == [3]
+        assert peek.seen == [("run", {"double": [2, 4, 6]}, ())]
+
+    def test_records_reach_only_source_stages(self):
+        source = _Peek("numbers", consumes_source=True)
+        derived = _Peek("peek", deps=("numbers",), reads="numbers")
+        PipelineRunner([source, derived]).run(
+            StageContext(config=DeshConfig(), records=_RECORDS)
+        )
+        assert source.seen == [("run", {}, _RECORDS)]
+        assert derived.seen == [("run", {"numbers": [1]}, ())]
+
+    def test_warm_load_gets_the_same_restricted_context(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        ctx = StageContext(config=DeshConfig(), records=_RECORDS)
+        PipelineRunner(
+            _stages() + [_Peek("peek", deps=("double",), reads="double")],
+            store=store,
+        ).run(ctx, data_fingerprint="d1")
+        peek = _Peek("peek", deps=("double",), reads="double")
+        warm = PipelineRunner(_stages() + [peek], store=store).run(
+            ctx, data_fingerprint="d1"
+        )
+        assert "peek" in warm.cache_hits
+        assert peek.seen == [("load", {"double": [2, 4, 6]}, ())]
+
+    def test_caller_context_is_left_untouched(self):
+        ctx = _ctx()
+        PipelineRunner(_stages()).run(ctx)
+        assert ctx.inputs == {}
 
 
 class TestArtifactStore:
