@@ -97,6 +97,14 @@ class EvaluationResult:
         return np.array([s.lead_seconds for s in self.true_positives()])
 
 
+def _by_node(events: Sequence) -> dict:
+    """*events* grouped by ``.node``, each group in input order."""
+    index: dict = {}
+    for event in events:
+        index.setdefault(event.node, []).append(event)
+    return index
+
+
 class Evaluator:
     """Score verdicts against a :class:`GroundTruth`.
 
@@ -105,6 +113,9 @@ class Evaluator:
     slack:
         Seconds of tolerance when matching an episode span to a
         ground-truth terminal or near-miss window.
+
+    The ground truth's failures and near misses are indexed by node
+    once, at construction.
     """
 
     def __init__(self, ground_truth: GroundTruth, *, slack: float = 30.0) -> None:
@@ -112,22 +123,24 @@ class Evaluator:
             raise DatasetError("slack must be >= 0")
         self.ground_truth = ground_truth
         self.slack = slack
+        # Per-node views in ground-truth order, so the first match on a
+        # node is the one a scan of the whole ground truth would find.
+        self._failures = _by_node(ground_truth.failures)
+        self._near_misses = _by_node(ground_truth.near_misses)
 
     # ------------------------------------------------------------------
     def classify(self, verdict: EpisodeVerdict) -> ScoredEpisode:
         """Attach the ground-truth kind to one verdict."""
         ep = verdict.episode
-        for f in self.ground_truth.failures:
-            if f.node == ep.node and (
+        for f in self._failures.get(ep.node, ()):
+            if (
                 ep.start_time - self.slack
                 <= f.terminal_time
                 <= ep.end_time + self.slack
             ):
                 return ScoredEpisode(verdict=verdict, kind=EpisodeKind.CHAIN, failure=f)
-        for m in self.ground_truth.near_misses:
-            if m.node == ep.node and (
-                m.start_time - self.slack <= ep.start_time <= m.end_time + self.slack
-            ):
+        for m in self._near_misses.get(ep.node, ()):
+            if m.start_time - self.slack <= ep.start_time <= m.end_time + self.slack:
                 return ScoredEpisode(verdict=verdict, kind=EpisodeKind.NEAR_MISS)
         return ScoredEpisode(verdict=verdict, kind=EpisodeKind.CLUTTER)
 

@@ -9,6 +9,7 @@ node — the per-node streams Desh trains on (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,6 +51,9 @@ class ParsedEvent:
             raise ChainExtractionError(f"phrase_id must be >= 0, got {self.phrase_id}")
 
 
+_ORDER = attrgetter("timestamp", "phrase_id")
+
+
 class EventSequence:
     """Time-ordered events of a single node.
 
@@ -62,9 +66,11 @@ class EventSequence:
         self, node: Optional[CrayNodeId], events: Iterable[ParsedEvent]
     ) -> None:
         self.node = node
-        self.events: list[ParsedEvent] = sorted(events)
+        # The key sort makes the same comparisons as ParsedEvent's
+        # ordering, without a dataclass __lt__ call per comparison.
+        self.events: list[ParsedEvent] = sorted(events, key=_ORDER)
         for e in self.events:
-            if e.node != node:
+            if e.node is not node and e.node != node:
                 raise ChainExtractionError(
                     f"event node {e.node} does not match sequence node {node}"
                 )

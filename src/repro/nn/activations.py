@@ -23,33 +23,44 @@ __all__ = [
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large |x|.
+    """Logistic sigmoid, stable for large |x|; the training kernel.
 
-    Uses the two-branch formulation so ``exp`` never overflows.
+    Branch-free form of the two-branch formulation, bit for bit: an
+    element takes ``e = exp(-x)`` and ``1 / (1 + e)`` when ``x >= 0``,
+    ``e = exp(x)`` and ``e / (1 + e)`` otherwise, so ``exp`` never
+    overflows.  ``minimum(x, -x)`` is the exp argument of the live
+    branch (for a NaN both operands are NaN and NumPy returns the
+    first, so NaN takes the ``x < 0`` branch with its payload intact,
+    as ``x >= 0`` is false).  The numerator ``maximum(e, x >= 0)`` is 1
+    where ``x >= 0`` (there ``e <= 1``) and ``e`` elsewhere (``e >= 0``,
+    and a NaN ``e`` is returned as is).  Every element thus goes
+    through exactly the IEEE operations of its branch, ``-0.0``, ``inf``
+    and NaN included; ``tests/test_nn_train_exact.py`` pins this against
+    the masked two-branch version, because trained weights and pipeline
+    cache fingerprints depend on these bits.  The output is float64
+    whatever the input dtype.
     """
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    out = np.maximum(e, (x >= 0).astype(e.dtype))
+    out /= d
+    return out.astype(np.float64, copy=False)
 
 
 def sigmoid_infer(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid for the inference path: branch-free and in-place.
+    """Logistic sigmoid for the inference path: fewer passes, in place.
 
-    The training :func:`sigmoid` pays ~7x its exp cost in fancy-indexing
-    machinery for the two-branch split.  Inference has no backward pass
-    that would reuse the mask, so this variant computes
-    ``1 / (1 + exp(-x))`` directly with three vectorized passes and no
-    temporaries beyond the output.  For very negative ``x``, ``exp(-x)``
-    overflows to ``inf`` and the reciprocal correctly returns ``0.0``;
-    the overflow warning is suppressed because that saturation is the
-    intended result, not an error.
+    Computes ``1 / (1 + exp(-x))`` directly with three vectorized
+    passes and no temporaries beyond the output; the training
+    :func:`sigmoid` makes about twice as many passes to pick each
+    element's branch and stay overflow-free.  For very negative ``x``,
+    ``exp(-x)`` overflows to ``inf`` and the reciprocal correctly
+    returns ``0.0``; the overflow warning is suppressed because that
+    saturation is the intended result, not an error.
 
     The output may differ from :func:`sigmoid` in the last 1-2 ulp (the
-    two formulations round differently), which is why training keeps the
-    two-branch version: pipeline caches fingerprint training outputs.
+    two formulations round differently), which is why training keeps
+    its own kernel: pipeline caches fingerprint training outputs.
     The inference path only requires *self*-consistency — every scoring
     route goes through this same function, so batched and sequential
     scoring still agree bit for bit.

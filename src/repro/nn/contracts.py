@@ -130,6 +130,18 @@ def parse_spec(
         raise ContractError(f"bad tensor contract {spec!r}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
+def _dtype_ok(dtype: np.dtype, family: type) -> bool:
+    """``np.issubdtype(dtype, family)``, memoized per (dtype, family)."""
+    return bool(np.issubdtype(dtype, family))
+
+
+def _violation(
+    side: str, owner: object, func_name: str, message: str
+) -> ContractError:
+    return ContractError(f"{type(owner).__name__}.{func_name} {side}: {message}")
+
+
 def _check(
     side: str,
     spec: Optional[TensorSpec],
@@ -139,33 +151,37 @@ def _check(
     bindings: dict,
 ) -> None:
     """Validate one array against one spec, updating dim bindings."""
-    label = f"{type(owner).__name__}.{func_name} {side}"
     if spec is None:
         if side == "output" and value is not None:
-            raise ContractError(f"{label}: expected None, got {type(value).__name__}")
+            raise _violation(
+                side, owner, func_name, f"expected None, got {type(value).__name__}"
+            )
         return
     arr = np.asarray(value)
-    if spec.dtype is not None and not np.issubdtype(arr.dtype, spec.dtype):
-        raise ContractError(
-            f"{label}: dtype {arr.dtype} does not satisfy {spec.describe()}"
+    if spec.dtype is not None and not _dtype_ok(arr.dtype, spec.dtype):
+        raise _violation(
+            side, owner, func_name,
+            f"dtype {arr.dtype} does not satisfy {spec.describe()}",
         )
     shape = arr.shape
     if spec.ellipsis_lead:
         if len(shape) < len(spec.dims):
-            raise ContractError(
-                f"{label}: shape {shape} too short for {spec.describe()}"
+            raise _violation(
+                side, owner, func_name,
+                f"shape {shape} too short for {spec.describe()}",
             )
         lead, tail = shape[: len(shape) - len(spec.dims)], shape[len(shape) - len(spec.dims):]
         prior = bindings.setdefault("...", lead)
         if prior != lead:
-            raise ContractError(
-                f"{label}: leading dims {lead} != bound {prior} "
-                f"for {spec.describe()}"
+            raise _violation(
+                side, owner, func_name,
+                f"leading dims {lead} != bound {prior} for {spec.describe()}",
             )
     else:
         if len(shape) != len(spec.dims):
-            raise ContractError(
-                f"{label}: shape {shape} has wrong rank for {spec.describe()}"
+            raise _violation(
+                side, owner, func_name,
+                f"shape {shape} has wrong rank for {spec.describe()}",
             )
         tail = shape
     for dim, actual in zip(spec.dims, tail):
@@ -180,9 +196,10 @@ def _check(
                 bindings[dim] = actual
                 continue
         if actual != expected:
-            raise ContractError(
-                f"{label}: shape {shape} violates {spec.describe()} "
-                f"(dim {dim} should be {expected}, got {actual})"
+            raise _violation(
+                side, owner, func_name,
+                f"shape {shape} violates {spec.describe()} "
+                f"(dim {dim} should be {expected}, got {actual})",
             )
 
 

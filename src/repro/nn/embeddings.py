@@ -9,8 +9,8 @@ The trainer follows Mikolov et al.'s SGNS formulation: for a (center,
 context) pair maximize ``log sigma(v_c . u_o)`` plus ``k`` negative
 samples drawn from the unigram distribution raised to 3/4.  The whole
 update is vectorized over a batch of pairs with fancy indexing and
-``np.add.at`` scatter-accumulation; no Python loop touches individual
-pairs.
+flat ``np.add.at`` scatter-accumulation; no Python loop touches
+individual pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from ..config import EmbeddingConfig
 from ..errors import NotFittedError, ShapeError, TrainingError
 from .activations import sigmoid
+from .layers import scatter_add_rows
 
 __all__ = ["SkipGramEmbedder"]
 
@@ -169,9 +170,9 @@ class SkipGramEmbedder:
         d_un = score_neg[:, :, None] * v_c[:, None, :]  # (B, K, D)
 
         # Scatter-accumulate: duplicate ids within a batch must sum.
-        np.add.at(w_in, c_ids, -lr * d_vc)
-        np.add.at(w_out, o_ids, -lr * d_uo)
-        np.add.at(w_out, n_ids.reshape(-1), -lr * d_un.reshape(-1, v_c.shape[1]))
+        scatter_add_rows(w_in, c_ids, -lr * d_vc)
+        scatter_add_rows(w_out, o_ids, -lr * d_uo)
+        scatter_add_rows(w_out, n_ids, -lr * d_un)
 
     # ------------------------------------------------------------------
     # state round-tripping (pipeline artifacts, full-model persistence)

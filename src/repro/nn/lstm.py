@@ -75,47 +75,35 @@ class LSTMCell:
         h = np.zeros((B, H))
         c = np.zeros((B, H))
 
+        # BPTT caches, time-major so each step's slice is one contiguous
+        # block: the gate activations [sig(i)|sig(f)|tanh(g)|sig(o)] in
+        # the fused layout, the cell states and their tanh.  Backward
+        # reads the previous states back from these and from the output.
+        acts = np.empty((T, B, 4 * H))
+        cs = np.empty((T, B, H))
+        tanh_cs = np.empty((T, B, H))
         hs = np.empty((B, T, H))
-        # Per-timestep caches needed by BPTT.
-        gates_i = np.empty((B, T, H))
-        gates_f = np.empty((B, T, H))
-        gates_g = np.empty((B, T, H))
-        gates_o = np.empty((B, T, H))
-        cs = np.empty((B, T, H))
-        tanh_cs = np.empty((B, T, H))
-        h_prevs = np.empty((B, T, H))
-        c_prevs = np.empty((B, T, H))
 
         # Precompute the input projection for all timesteps in one matmul.
         x_proj = x @ self.W  # (B, T, 4H)
 
         for t in range(T):
-            h_prevs[:, t] = h
-            c_prevs[:, t] = c
-            gates = x_proj[:, t] + h @ self.U + self.b
-            i = sigmoid(gates[:, :H])
-            f = sigmoid(gates[:, H : 2 * H])
+            gates = h @ self.U  # + x_proj[:, t] + b; addition commutes
+            gates += x_proj[:, t]
+            gates += self.b
+            a = acts[t]
+            # One sigmoid over all four blocks (elementwise, so i|f|o
+            # are exact); the g block is then overwritten with its tanh.
+            a[...] = sigmoid(gates)
             g = tanh(gates[:, 2 * H : 3 * H])
-            o = sigmoid(gates[:, 3 * H :])
-            c = f * c + i * g
-            tc = tanh(c)
-            h = o * tc
-            gates_i[:, t], gates_f[:, t], gates_g[:, t], gates_o[:, t] = i, f, g, o
-            cs[:, t] = c
-            tanh_cs[:, t] = tc
+            a[:, 2 * H : 3 * H] = g
+            c = np.multiply(a[:, H : 2 * H], c, out=cs[t])
+            c += a[:, :H] * g
+            tc = np.tanh(c, out=tanh_cs[t])
+            h = a[:, 3 * H :] * tc
             hs[:, t] = h
 
-        self._cache = {
-            "x": x,
-            "i": gates_i,
-            "f": gates_f,
-            "g": gates_g,
-            "o": gates_o,
-            "c": cs,
-            "tanh_c": tanh_cs,
-            "h_prev": h_prevs,
-            "c_prev": c_prevs,
-        }
+        self._cache = {"x": x, "acts": acts, "c": cs, "tanh_c": tanh_cs, "h": hs}
         return hs
 
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
@@ -180,35 +168,43 @@ class LSTMCell:
                 f"dh_all must be ({B}, {T}, {H}), got {dh_all.shape}"
             )
 
-        dx = np.empty_like(x)
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
+        acts, cs, tanh_cs, hs = cache["acts"], cache["c"], cache["tanh_c"], cache["h"]
+        # Activation derivatives for every timestep at once.
+        dacts = sigmoid_grad(acts)
+        dacts[..., 2 * H : 3 * H] = tanh_grad(acts[..., 2 * H : 3 * H])
+        dtanh_cs = tanh_grad(tanh_cs)
+
+        zero_state = np.zeros((B, H))
+        dx = np.empty((B, T, self.input_size))
+        dh_next = zero_state
+        dc_next = zero_state
         dgates = np.empty((B, 4 * H))
 
         for t in range(T - 1, -1, -1):
-            i = cache["i"][:, t]
-            f = cache["f"][:, t]
-            g = cache["g"][:, t]
-            o = cache["o"][:, t]
-            tc = cache["tanh_c"][:, t]
-            c_prev = cache["c_prev"][:, t]
-            h_prev = cache["h_prev"][:, t]
+            a = acts[t]
+            c_prev = cs[t - 1] if t else zero_state
+            h_prev = hs[:, t - 1] if t else zero_state
 
             dh = dh_all[:, t] + dh_next
-            dc = dh * o * tanh_grad(tc) + dc_next
+            dc = dh * a[:, 3 * H :]
+            dc *= dtanh_cs[t]
+            dc += dc_next
 
-            dgates[:, :H] = dc * g * sigmoid_grad(i)
-            dgates[:, H : 2 * H] = dc * c_prev * sigmoid_grad(f)
-            dgates[:, 2 * H : 3 * H] = dc * i * tanh_grad(g)
-            dgates[:, 3 * H :] = dh * tc * sigmoid_grad(o)
+            # Gate blocks: dc * g, dc * c_prev, dc * i, dh * tanh(c),
+            # each then times its activation derivative.
+            np.multiply(dc, a[:, 2 * H : 3 * H], out=dgates[:, :H])
+            np.multiply(dc, c_prev, out=dgates[:, H : 2 * H])
+            np.multiply(dc, a[:, :H], out=dgates[:, 2 * H : 3 * H])
+            np.multiply(dh, tanh_cs[t], out=dgates[:, 3 * H :])
+            dgates *= dacts[t]
 
             self.dW += x[:, t].T @ dgates
             self.dU += h_prev.T @ dgates
             self.db += dgates.sum(axis=0)
 
-            dx[:, t] = dgates @ self.W.T
+            np.matmul(dgates, self.W.T, out=dx[:, t])
             dh_next = dgates @ self.U.T
-            dc_next = dc * f
+            dc_next = dc * a[:, H : 2 * H]
 
         return dx
 

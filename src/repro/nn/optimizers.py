@@ -140,8 +140,16 @@ class RMSprop(_OptimizerBase):
         slot = self._slot(key, p, "s")
         s = slot["s"]
         s *= self.rho
-        s += (1.0 - self.rho) * g * g
-        p -= self.learning_rate * g / (np.sqrt(s) + self.eps)
+        # s += (1 - rho) * g * g;  p -= lr * g / (sqrt(s) + eps), with
+        # the same operations in the same order, in two temporary arrays.
+        tmp = g * (1.0 - self.rho)
+        tmp *= g
+        s += tmp
+        np.sqrt(s, out=tmp)
+        tmp += self.eps
+        step = g * self.learning_rate
+        step /= tmp
+        p -= step
 
 
 class Adam(_OptimizerBase):

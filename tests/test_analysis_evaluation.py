@@ -124,3 +124,46 @@ class TestEvaluate:
     def test_rejects_negative_slack(self, truth):
         with pytest.raises(DatasetError):
             Evaluator(truth, slack=-1.0)
+
+
+def brute_force_kind(truth, ep, slack):
+    """Scan the whole ground truth, failures first, in its own order."""
+    for f in truth.failures:
+        if f.node == ep.node and (
+            ep.start_time - slack <= f.terminal_time <= ep.end_time + slack
+        ):
+            return EpisodeKind.CHAIN, f
+    for m in truth.near_misses:
+        if m.node == ep.node and (
+            m.start_time - slack <= ep.start_time <= m.end_time + slack
+        ):
+            return EpisodeKind.NEAR_MISS, None
+    return EpisodeKind.CLUTTER, None
+
+
+@pytest.mark.parametrize("slack", [0.0, 30.0, 600.0])
+def test_node_index_matches_full_scan_on_fixture(trained_model, test_split, slack):
+    """The per-node index finds the same first match, failure object
+    included, as a scan of the whole ground truth."""
+    truth = test_split.ground_truth
+    verdicts = trained_model.score(list(test_split.records))
+    evaluator = Evaluator(truth, slack=slack)
+    kinds = []
+    for v in verdicts:
+        scored = evaluator.classify(v)
+        kind, failure = brute_force_kind(truth, v.episode, slack)
+        assert scored.kind is kind
+        assert scored.failure is failure
+        kinds.append(kind)
+    assert {EpisodeKind.CHAIN, EpisodeKind.CLUTTER} <= set(kinds)
+
+
+def test_first_match_in_ground_truth_order_on_one_node():
+    """Two failures of one node inside the slack: the earlier listed wins."""
+    truth = GroundTruth(failures=[
+        FailureEvent(NODE, FailureClass.MCE, "mce", 900.0, 1000.0),
+        FailureEvent(OTHER, FailureClass.MCE, "mce", 900.0, 1005.0),
+        FailureEvent(NODE, FailureClass.PANIC, "panic", 950.0, 1010.0),
+    ])
+    scored = Evaluator(truth, slack=30.0).classify(verdict(NODE, 990.0, 1000.0, True))
+    assert scored.failure is truth.failures[0]

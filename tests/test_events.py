@@ -45,6 +45,29 @@ class TestEventSequence:
         with pytest.raises(ChainExtractionError):
             EventSequence(NODE, [ev(0.0, node=OTHER)])
 
+    def test_rejects_foreign_node_after_same_node_events(self):
+        with pytest.raises(ChainExtractionError, match="does not match"):
+            EventSequence(NODE, [ev(0.0), ev(1.0, node=None), ev(2.0)])
+        with pytest.raises(ChainExtractionError):
+            EventSequence(None, [ev(0.0, node=None), ev(1.0)])
+
+    def test_accepts_equal_but_distinct_node_objects(self):
+        twin = CrayNodeId(0, 0, 0, 0, 0)
+        assert twin is not NODE
+        assert len(EventSequence(NODE, [ev(0.0, node=twin), ev(1.0)])) == 2
+
+    def test_order_matches_parsed_event_ordering(self):
+        """Ties on timestamp break by phrase id; full ties keep input
+        order (stable), exactly like sorting by ParsedEvent's __lt__."""
+        rng = np.random.default_rng(0)
+        events = [
+            ev(float(t), pid=int(p), terminal=bool(k))
+            for t, p, k in zip(rng.integers(0, 5, 200), rng.integers(0, 4, 200),
+                               rng.integers(0, 2, 200))
+        ]
+        seq = EventSequence(NODE, events)
+        assert [id(e) for e in seq] == [id(e) for e in sorted(events)]
+
     def test_phrase_ids_array(self):
         seq = EventSequence(NODE, [ev(0.0, pid=3), ev(1.0, pid=7)])
         ids = seq.phrase_ids()
