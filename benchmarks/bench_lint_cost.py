@@ -3,12 +3,10 @@
 The self-lint gate runs in tier-1 CI on every push, so its wall time is
 part of the edit-test loop.  Budget: one full pass over ``src/repro``
 (~130 modules, syntactic *and* dataflow rules, suppressions + baseline
-applied) in under 15 seconds.  The super-linear pieces are
-timed separately to catch complexity regressions early:
-
-* the F1/F4 dataflow pass builds a CFG per function and iterates
-  the shape domain to a fixpoint;
-* the F4 async pass adds the lockset fixpoint per coroutine.
+applied) in under 15 seconds.  The super-linear piece is timed
+separately to catch complexity regressions early: the F4 dataflow pass
+builds a CFG per coroutine and iterates the lockset domain to a
+fixpoint.
 
 Every registered rule is also timed *individually* over a single
 pre-parsed module set, so a budget failure names the rules actually
@@ -29,9 +27,7 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 #: Rule ids by analysis family, kept in sync with Rule.category.
 SYNTACTIC = ["R1", "R4", "R5"]
-DATAFLOW = ["F1", "F4"]
-#: The async-aware subset of the dataflow family.
-ASYNC_RULES = ["F4"]
+DATAFLOW = ["F4"]
 
 
 def _timed_lint(rules=None) -> "tuple[float, int]":
@@ -64,7 +60,6 @@ def test_rule_family_constants_match_registry():
     for rule in all_rules():
         registered.setdefault(rule.category, []).append(rule.id)
     assert registered == by_category
-    assert set(ASYNC_RULES) <= set(DATAFLOW)
 
 
 def test_full_repo_lint_under_budget(capsys):
@@ -74,7 +69,6 @@ def test_full_repo_lint_under_budget(capsys):
     full_seconds, modules = _timed_lint()
     syntactic_seconds, _ = _timed_lint(rules=get_rules(SYNTACTIC))
     dataflow_seconds, _ = _timed_lint(rules=get_rules(DATAFLOW))
-    async_seconds, _ = _timed_lint(rules=get_rules(ASYNC_RULES))
 
     parsed, _errors = load_modules([PACKAGE_DIR])
     per_rule = _per_rule_seconds(parsed)
@@ -87,8 +81,7 @@ def test_full_repo_lint_under_budget(capsys):
             f"({modules} modules)"
         )
         print(f"  syntactic (R1, R4, R5) {syntactic_seconds:6.2f}s")
-        print(f"  dataflow (F1, F4)      {dataflow_seconds:6.2f}s")
-        print(f"    F4 async pass        {async_seconds:6.2f}s")
+        print(f"  dataflow (F4)          {dataflow_seconds:6.2f}s")
         print("  per rule (parse excluded):")
         for rule_id in slowest:
             print(f"    {rule_id:<4}                 {per_rule[rule_id]:6.2f}s")
@@ -102,8 +95,7 @@ def test_full_repo_lint_under_budget(capsys):
         f"full-repo lint took {full_seconds:.2f}s, budget is "
         f"{BUDGET_SECONDS:.1f}s; slowest rules: {top3}"
     )
-    # No family may dwarf the budget on its own: each pass runs per
-    # function, so a superlinear regression shows up here first — the
+    # The dataflow pass may not dwarf the budget on its own: it runs per
+    # coroutine, so a superlinear regression shows up here first — the
     # assertion message names the individual rules responsible.
     assert dataflow_seconds < BUDGET_SECONDS, f"slowest rules: {top3}"
-    assert async_seconds < BUDGET_SECONDS, f"slowest rules: {top3}"

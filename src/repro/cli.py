@@ -55,8 +55,8 @@ Commands
     accounting, and bit-identity vs a fault-free run.
 ``lint``
     Run the deshlint static-analysis gate — syntactic rules R1, R4 and
-    R5 and the dataflow analyses F1 and F4 (shape flow, async
-    atomicity) — over source paths; exits 1 on any finding
+    R5 and the dataflow analysis F4 (async atomicity) — over source
+    paths; exits 1 on any finding
     not covered by an inline suppression or the baseline file.
     ``--sarif`` additionally writes a SARIF 2.1.0 log for GitHub code
     scanning; ``--rules list`` prints the registry grouped by category.
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True, help="markdown output path")
 
     li = sub.add_parser(
-        "lint", help="run deshlint static analysis (R1, R4, R5, F1, F4)"
+        "lint", help="run deshlint static analysis (R1, R4, R5, F4)"
     )
     li.add_argument(
         "paths",

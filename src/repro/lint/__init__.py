@@ -14,14 +14,10 @@ R5     Public API — docstrings + truthful ``__all__`` everywhere.
 =====  ==============================================================
 
 On top of the syntactic rules, the :mod:`repro.lint.flow` package adds
-dataflow analyses — a per-function CFG builder, a generic worklist
-fixpoint solver and pluggable abstract domains — registered as rules
-in the same engine:
+a dataflow analysis — a per-function CFG builder and a generic worklist
+fixpoint solver — registered as a rule in the same engine:
 
 =====  ==============================================================
-F1     Shape flow — abstract-interpret numpy/``repro.nn`` code against
-       the declared ``@tensor_contract`` specs; report *provable*
-       shape/dtype mismatches with the inferred shape chain.
 F4     Async atomicity — no read-modify-write or check-then-act on
        shared ``self.*`` state across an ``await`` without a common
        ``asyncio.Lock`` held over the window.
@@ -30,7 +26,8 @@ F4     Async atomicity — no read-modify-write or check-then-act on
 Stage isolation and reproducibility are checked at run time instead:
 the pipeline runner hands each stage only its declared deps, and
 ``tests/test_pipeline_hashseed.py`` compares artifact stores across
-hash seeds.
+hash seeds.  Tensor shapes and dtypes are checked at run time too, by
+the ``@tensor_contract`` specs in :mod:`repro.nn.contracts`.
 
 Findings are suppressed inline with ``# deshlint: allow[RULE] reason``
 (reason mandatory) or grandfathered via a checked-in baseline file;

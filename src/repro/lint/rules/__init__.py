@@ -7,7 +7,7 @@ from one hook, :meth:`Rule.check_module`, which checks each module
 independently.
 
 Importing this package loads the built-in rules R1, R4 and R5 and the
-dataflow rules F1 and F4; external code can register additional rules
+dataflow rule F4; external code can register additional rules
 before calling the engine.  Every rule carries a ``category`` —
 ``"syntactic"`` for AST pattern checks, ``"dataflow"`` for the
 CFG/fixpoint analyses under :mod:`repro.lint.flow` — which the CLI uses
@@ -160,8 +160,8 @@ def rules_by_category() -> dict[str, list[Rule]]:
     return out
 
 
-# Built-in rules register themselves on import.  The dataflow rules live
-# under repro.lint.flow (they share the CFG/solver machinery) but hook
-# into the same registry.
+# Built-in rules register themselves on import.  The dataflow rule F4
+# lives under repro.lint.flow (next to the CFG/solver machinery it is
+# built on) but hooks into the same registry.
 from . import api, exceptions, rng  # noqa: E402,F401
-from ..flow import atomicity, shapeflow  # noqa: E402,F401
+from ..flow import atomicity  # noqa: E402,F401

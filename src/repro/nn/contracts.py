@@ -36,14 +36,7 @@ import numpy as np
 
 from ..errors import ContractError
 
-__all__ = ["TensorSpec", "declared_contracts", "parse_spec", "tensor_contract"]
-
-#: ``module.qualname`` of every decorated function -> its spec string.
-#: Populated at decoration time even under ``python -O`` (where the
-#: wrapper itself is compiled out), so static consumers — deshlint's F1
-#: shape-flow analysis — can always recover the declared specs without
-#: re-parsing source decorators.
-_SPEC_REGISTRY: dict = {}
+__all__ = ["TensorSpec", "parse_spec", "tensor_contract"]
 
 _SIDE_RE = re.compile(r"^\((?P<dims>[^)]*)\)(?::(?P<dtype>\w+))?$")
 
@@ -207,15 +200,12 @@ def tensor_contract(spec: str) -> Callable:
     """Decorator enforcing *spec* on a method's first array argument.
 
     The input spec applies to the first positional argument after
-    ``self``; the output spec to the return value.  Under ``python -O``
+    ``self``; the output spec to the return value.  The wrapper keeps
+    the spec string as ``__tensor_contract__``.  Under ``python -O``
     the decorator is the identity function (contracts compile out).
     """
     if not __debug__:  # pragma: no cover - exercised via subprocess test
-        def record(func: Callable) -> Callable:
-            _SPEC_REGISTRY[f"{func.__module__}.{func.__qualname__}"] = spec
-            return func
-
-        return record
+        return lambda func: func
     inp, out = parse_spec(spec)  # parse once, at decoration time
 
     def decorate(func: Callable) -> Callable:
@@ -229,25 +219,7 @@ def tensor_contract(spec: str) -> Callable:
             return result
 
         wrapper.__tensor_contract__ = spec
-        _SPEC_REGISTRY[f"{func.__module__}.{func.__qualname__}"] = spec
         return wrapper
 
     return decorate
 
-
-def declared_contracts(cls: type) -> dict:
-    """Spec strings declared on *cls*'s own methods, keyed by method name.
-
-    The static view of a class's tensor contracts, independent of
-    ``python -O``: specs come from the wrapper attribute when present
-    and from the decoration-time registry otherwise.  This is the hook
-    deshlint's F1 shape-flow analysis uses as its transfer functions.
-    """
-    out: dict = {}
-    for name, member in vars(cls).items():
-        spec = getattr(member, "__tensor_contract__", None)
-        if spec is None and callable(member):
-            spec = _SPEC_REGISTRY.get(f"{member.__module__}.{member.__qualname__}")
-        if spec is not None:
-            out[name] = spec
-    return out

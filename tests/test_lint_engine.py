@@ -80,7 +80,7 @@ class TestSuppressions:
         )
         assert {f.rule for f in findings} == {"R1"}
 
-    @pytest.mark.parametrize("rule_id", ["R2", "R3", "F2"])
+    @pytest.mark.parametrize("rule_id", ["R2", "R3", "F1", "F2"])
     def test_allow_naming_retired_rule_is_reported(self, rule_id):
         # A retired rule's allow now justifies nothing.
         findings = lint_source(
@@ -180,11 +180,11 @@ class TestDriver:
             lint_paths([tmp_path / "nope"])
 
     @pytest.mark.parametrize(
-        "rule_id", ["R99", "R2", "R3", "F2", "F3", "F5", "F6"]
+        "rule_id", ["R99", "R2", "R3", "F1", "F2", "F3", "F5", "F6"]
     )
     def test_unknown_rule_id_raises(self, rule_id):
-        # R2, R3, F2, F3, F5 and F6 are retired ids: asking for them is a
-        # usage error.
+        # R2, R3, F1, F2, F3, F5 and F6 are retired ids: asking for them
+        # is a usage error.
         with pytest.raises(LintError):
             get_rules([rule_id])
 
@@ -254,7 +254,7 @@ class TestCliLint:
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "deshlint"
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"R1", "F1", "F4"} <= rule_ids  # what ran, not what fired
+        assert {"R1", "F4"} <= rule_ids  # what ran, not what fired
         rule_meta = {r["id"]: r for r in driver["rules"]}
         assert {
             meta["defaultConfiguration"]["level"] for meta in rule_meta.values()
@@ -323,10 +323,11 @@ class TestCliLint:
         assert run.returncode == 0
         out = run.stdout
         assert out.index("syntactic:") < out.index("dataflow:")
-        for rule_id in ("R1", "R5", "F1", "F4"):
+        for rule_id in ("R1", "R5", "F4"):
             assert f"\n  {rule_id} " in out
+        assert "\n  F1 " not in out
         # F-rules listed under the dataflow heading, not before it.
-        assert out.index("dataflow:") < out.index("\n  F1 ")
+        assert out.index("dataflow:") < out.index("\n  F4 ")
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +364,6 @@ class TestRegistry:
         assert list(grouped) == ["syntactic", "dataflow"]
         flattened = {r.id for rules in grouped.values() for r in rules}
         assert flattened == {r.id for r in all_rules()}
-        assert [r.id for r in all_rules()] == ["F1", "F4", "R1", "R4", "R5"]
+        assert [r.id for r in all_rules()] == ["F4", "R1", "R4", "R5"]
         assert {r.id for r in grouped["syntactic"]} == {"R1", "R4", "R5"}
-        assert {r.id for r in grouped["dataflow"]} == {"F1", "F4"}
+        assert {r.id for r in grouped["dataflow"]} == {"F4"}

@@ -1,11 +1,7 @@
-"""Behavioural tests for the dataflow rules F1 (shape flow) and F4
-(async atomicity).
+"""Behavioural tests for the dataflow rule F4 (async atomicity).
 
-Every analysis gets at least one bad snippet proving it fires and one
-good snippet proving it stays silent; F1's good snippets double as
-no-false-positive regression cases for the provable-only policy
-(symbolic dims are never reported), and F4's good snippets pin the
-lock-protected counterparts.
+Bad snippets prove the analysis fires; good snippets pin the
+lock-protected and write-before-await counterparts it must leave silent.
 """
 
 import textwrap
@@ -16,174 +12,6 @@ from repro.lint.rules import get_rules
 
 def _lint(src: str, *rules: str):
     return lint_source(textwrap.dedent(src), rules=get_rules(list(rules)))
-
-
-# ----------------------------------------------------------------------
-# F1 — shape flow
-# ----------------------------------------------------------------------
-def test_f1_fires_on_wrong_trailing_dim():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        def go(rng):
-            layer = Dense(4, 8, rng)
-            x = np.zeros((3, 5))
-            return layer.forward(x)
-        """,
-        "F1",
-    )
-    assert [f.rule for f in findings] == ["F1"]
-    message = findings[0].message
-    assert "Dense.forward" in message
-    assert "in_dim = 4" in message
-    assert "(3, 5)" in message
-    assert "np.zeros" in message  # the inferred shape chain is included
-
-
-def test_f1_fires_on_rank_mismatch_through_reshape():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.lstm import StackedLSTM
-
-        def go(rng):
-            net = StackedLSTM(16, 32, 2, rng)
-            x = np.zeros((8, 4, 16))
-            flat = x.reshape(8, 64)
-            return net.forward(flat)
-        """,
-        "F1",
-    )
-    assert len(findings) == 1
-    assert "rank-3" in findings[0].message
-    assert "rank-2" in findings[0].message
-
-
-def test_f1_fires_on_dtype_mismatch():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        def go(rng):
-            layer = Dense(4, 8, rng)
-            x = np.zeros((3, 4), dtype=np.int64)
-            return layer.forward(x)
-        """,
-        "F1",
-    )
-    assert len(findings) == 1
-    assert "dtype float" in findings[0].message
-
-
-def test_f1_silent_on_correct_shapes_and_layer_chaining():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        def go(rng):
-            first = Dense(4, 8, rng)
-            second = Dense(8, 2, rng)
-            x = np.zeros((3, 4))
-            hidden = first.forward(x)
-            return second.forward(hidden)
-        """,
-        "F1",
-    )
-    assert findings == []
-
-
-def test_f1_silent_on_symbolic_dims():
-    # Distinct symbols are incomparable: never a finding.
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        def go(rng, in_dim, batch):
-            layer = Dense(in_dim, 8, rng)
-            x = np.zeros((batch, in_dim))
-            return layer.forward(x)
-        """,
-        "F1",
-    )
-    assert findings == []
-
-
-def test_f1_joins_branches_instead_of_guessing():
-    # The two branches disagree on the trailing dim; the join widens it
-    # to unknown, so no provable violation exists.
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        def go(rng, flag):
-            layer = Dense(4, 8, rng)
-            if flag:
-                x = np.zeros((3, 4))
-            else:
-                x = np.zeros((3, 7))
-            return layer.forward(x)
-        """,
-        "F1",
-    )
-    assert findings == []
-
-
-def test_f1_catches_wrong_dim_from_self_attribute_layer():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        class Head:
-            def __init__(self, rng):
-                self.proj = Dense(32, 4, rng)
-
-            def apply(self):
-                x = np.ones((2, 16))
-                return self.proj.forward(x)
-        """,
-        "F1",
-    )
-    assert len(findings) == 1
-    assert "in_dim = 32" in findings[0].message
-
-
-def test_f1_silent_on_batched_step_and_scorer():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.batched import BatchedScorer
-
-        def go(rng, regressor, scaler):
-            scorer = BatchedScorer(regressor, scaler, history=5)
-            windows = np.zeros((64, 5, 2))
-            return scorer.predict_batch(windows)
-        """,
-        "F1",
-    )
-    assert findings == []
-
-
-def test_f1_suppressible_inline():
-    findings = _lint(
-        """
-        import numpy as np
-        from repro.nn.layers import Dense
-
-        def go(rng):
-            layer = Dense(4, 8, rng)
-            x = np.zeros((3, 5))
-            return layer.forward(x)  # deshlint: allow[F1] intentional for the test
-        """,
-        "F1",
-    )
-    assert findings == []
 
 
 # ----------------------------------------------------------------------

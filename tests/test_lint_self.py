@@ -1,7 +1,7 @@
 """Tier-1 self-lint gate: the repo's own source must pass deshlint.
 
 This is the same check CI runs via ``repro lint``: every rule (the
-syntactic R1, R4, R5 and the dataflow F1, F4) over the installed
+syntactic R1, R4, R5 and the dataflow F4) over the installed
 ``repro`` package, with the checked-in baseline applied.
 Any new finding turns the suite red.
 """
@@ -47,10 +47,10 @@ def test_baseline_carries_no_stale_entries():
 
 
 def test_dataflow_rules_clean_with_empty_baseline():
-    """F1 and F4 hold over the tree without grandfathered debt.
+    """F4 holds over the tree without grandfathered debt.
 
-    The dataflow analyses were introduced with a clean slate: the
-    checked-in baseline must stay empty, and running only the F rules
+    The dataflow analysis was introduced with a clean slate: the
+    checked-in baseline must stay empty, and running only the F rule
     (no baseline at all) must produce zero findings.  If an analysis change
     starts flagging the repo, fix or ``allow[...]``-annotate the site —
     don't grandfather it.
@@ -59,7 +59,7 @@ def test_dataflow_rules_clean_with_empty_baseline():
     assert entries == [], "lint-baseline.json must stay empty"
     report = lint_paths(
         [PACKAGE_DIR],
-        rules=get_rules(["F1", "F4"]),
+        rules=get_rules(["F4"]),
     )
     rendered = "\n".join(f.render() for f in report.findings)
     assert not report.findings, f"dataflow rules flag the repo:\n{rendered}"
@@ -97,21 +97,33 @@ def _write_violation_tree(root: Path) -> Path:
             '''
         ).lstrip()
     )
-    (pkg / "shapes.py").write_text(
+    (pkg / "ledger.py").write_text(
         textwrap.dedent(
             '''
             """Doc."""
 
-            import numpy as np
+            import asyncio
 
-            from repro.nn.layers import Dense
-
-            __all__ = ["project"]
+            __all__ = ["Ledger"]
 
 
-            def project(rng: np.random.Generator) -> np.ndarray:
-                """Feed 5 features to a layer that takes 4."""
-                return Dense(4, 8, rng).forward(np.zeros((3, 5)))
+            class Ledger:
+                """Moves an amount between two balances, racily."""
+
+                def __init__(self) -> None:
+                    self.a_lock = asyncio.Lock()
+                    self.b_lock = asyncio.Lock()
+                    self.credit = 0
+                    self.debit = 0
+
+                async def transfer(self, amount: int) -> None:
+                    """Read under both locks, yield, write unlocked."""
+                    async with self.a_lock, self.b_lock:
+                        credit = self.credit
+                        debit = self.debit
+                    await asyncio.sleep(0)
+                    self.credit = credit + amount
+                    self.debit = debit - amount
             '''
         ).lstrip()
     )
@@ -122,10 +134,11 @@ def test_lint_output_byte_identical_across_hash_seeds(tmp_path):
     """Determinism gate: stdout and SARIF are byte-identical under
     PYTHONHASHSEED 0, 1 and 2.
 
-    The dataflow rules walk dicts and sets of variable, attribute and
-    layer names — any hash-order leak shows up as reordered findings or
-    messages the moment the hash seed moves, so every run must collapse
-    to one byte string.
+    The dataflow rule walks dicts and sets of attribute and lock names —
+    the ledger victim's findings render a two-lock set — so any
+    hash-order leak shows up as reordered findings or messages the
+    moment the hash seed moves, and every run must collapse to one byte
+    string.
     """
     pkg = _write_violation_tree(tmp_path)
     src = Path(repro.__file__).resolve().parents[1]
@@ -156,8 +169,9 @@ def test_lint_output_byte_identical_across_hash_seeds(tmp_path):
         outputs.add((run.stdout, sarif.read_bytes()))
     assert len(outputs) == 1, "lint output varies with the hash seed"
     stdout = next(iter(outputs))[0]
-    for rule in ("R1", "F1", "F4"):
+    for rule in ("R1", "F4"):
         assert rule in stdout
+    assert sum(" F4 " in line for line in stdout.splitlines()) >= 3
 
 
 def test_report_invariant_under_module_discovery_order(tmp_path):

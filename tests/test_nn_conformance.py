@@ -10,8 +10,9 @@ roles:
 * ``Desh.fit`` -> ``save_model`` -> ``load_model`` round-trips with
   bit-identical ``warn()`` output,
 * online ``DeshModel.update`` works,
-* every ``forward`` / ``forward_infer`` / ``backward`` kernel declares
-  a ``@tensor_contract`` (what deshlint F1 consumes),
+* every ``forward`` / ``forward_stable`` / ``forward_infer`` /
+  ``backward`` / ``predict_batch`` kernel declares a
+  ``@tensor_contract``, which checks its shapes on every call,
 * unknown model names fail as :class:`ConfigError` naming the registry.
 """
 
@@ -24,7 +25,10 @@ from repro.config import DeshConfig
 from repro.core import Desh
 from repro.errors import ConfigError
 from repro.nn import (
+    BatchedScorer,
     CausalConv1d,
+    Dense,
+    Embedding,
     SequenceClassifier,
     SequenceRegressor,
     TCNBackbone,
@@ -32,7 +36,6 @@ from repro.nn import (
     get_model,
     registered_models,
 )
-from repro.nn.contracts import declared_contracts
 from repro.nn.lstm import LSTMCell, StackedLSTM
 from repro.nn.optimizers import RMSprop
 from repro.pipeline.persist import load_model, save_model
@@ -184,6 +187,19 @@ def test_online_update_supported(zoo_model, test_split):
 # ----------------------------------------------------------------------
 # tensor contracts on every kernel
 # ----------------------------------------------------------------------
+#: Every method name that carries a ``@tensor_contract`` somewhere in nn.
+KERNELS = ("forward", "forward_stable", "forward_infer", "backward", "predict_batch")
+
+
+def _contracts(cls) -> dict:
+    """Spec strings on *cls*'s own methods, keyed by method name."""
+    return {
+        name: member.__tensor_contract__
+        for name, member in vars(cls).items()
+        if hasattr(member, "__tensor_contract__")
+    }
+
+
 @pytest.mark.parametrize(
     "cls",
     [
@@ -192,21 +208,22 @@ def test_online_update_supported(zoo_model, test_split):
         CausalConv1d,
         TemporalBlock,
         LSTMCell,
+        Dense,
+        Embedding,
+        BatchedScorer,
     ],
 )
 def test_kernels_declare_tensor_contracts(cls):
-    contracts = declared_contracts(cls)
-    for method in ("forward", "backward"):
+    contracts = _contracts(cls)
+    defined = [method for method in KERNELS if method in vars(cls)]
+    assert defined, f"{cls.__name__} defines no kernel"
+    for method in defined:
         assert method in contracts, f"{cls.__name__}.{method} lacks a contract"
-    if hasattr(cls, "forward_infer"):
-        assert "forward_infer" in contracts, (
-            f"{cls.__name__}.forward_infer lacks a contract"
-        )
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_registered_backbones_declare_contracts(name):
-    contracts = declared_contracts(get_model(name).backbone)
+    contracts = _contracts(get_model(name).backbone)
     assert {"forward", "forward_infer", "backward"} <= set(contracts)
 
 
