@@ -39,14 +39,8 @@ class CostSample:
 
 @dataclass(frozen=True)
 class ThroughputSample:
-    """Throughput of one scoring engine at one batch size.
+    """Throughput of the batch-major inference kernel at one batch size."""
 
-    ``engine`` is ``"sequential"`` for the pre-batching serving path
-    (the training forward, one window per call) or ``"batched"`` for
-    the batch-major inference kernel.
-    """
-
-    engine: str
     batch_size: int
     millis_per_prediction: float
 
@@ -67,17 +61,14 @@ def measure_batch_throughput(
     passes: int = 5,
     seed: int = 0,
 ) -> list[ThroughputSample]:
-    """Time phase-3-shaped window scoring, sequential vs batch-major.
+    """Time phase-3-shaped window scoring at each of *batch_sizes*.
 
     Defaults mirror the paper's phase-3 deployment shape (Table 5 row 3
     on the M1 preset): ``(history=5, 2)`` chain windows through a
-    2-layer hidden-64 LSTM.  The ``"sequential"`` sample is the serving
-    engine this repo used before the batch-major refactor — one
-    training-forward :meth:`~repro.nn.model.SequenceRegressor.forward`
-    call per window — and one ``"batched"`` sample per requested batch
-    size runs the same *windows* window set through the inference
-    forward :meth:`~repro.nn.model.SequenceRegressor.predict` in
-    fixed-size slices.  Each measurement is the median over *passes*
+    2-layer hidden-64 LSTM.  One sample per requested batch size runs
+    the same *windows* window set through the inference forward
+    :meth:`~repro.nn.model.SequenceRegressor.predict` in fixed-size
+    slices.  Each measurement is the median over *passes*
     timed sweeps of the full window set, after one warm-up sweep.
     Weights are untrained — latency does not depend on the values.
     """
@@ -97,40 +88,23 @@ def measure_batch_throughput(
     model._fitted = True  # latency measurement only
     stack = rng.random((windows, history, input_dim))
 
-    def timed(sweep) -> float:
-        sweep()  # warm-up
+    def sweep(batch: int) -> None:
+        for start in range(0, windows, batch):
+            model.predict(stack[start : start + batch])
+
+    def timed(batch: int) -> float:
+        sweep(batch)  # warm-up
         times = []
         for _ in range(passes):
             start = time.perf_counter()
-            sweep()
+            sweep(batch)
             times.append(time.perf_counter() - start)
         return 1000.0 * float(np.median(times)) / windows
 
-    def sequential() -> None:
-        for i in range(windows):
-            model.forward(stack[i : i + 1])
-
-    samples = [
-        ThroughputSample(
-            engine="sequential",
-            batch_size=1,
-            millis_per_prediction=timed(sequential),
-        )
+    return [
+        ThroughputSample(batch_size=batch, millis_per_prediction=timed(batch))
+        for batch in batch_sizes
     ]
-    for batch in batch_sizes:
-
-        def batched(batch: int = batch) -> None:
-            for start in range(0, windows, batch):
-                model.predict(stack[start : start + batch])
-
-        samples.append(
-            ThroughputSample(
-                engine="batched",
-                batch_size=batch,
-                millis_per_prediction=timed(batched),
-            )
-        )
-    return samples
 
 
 def measure_prediction_cost(

@@ -54,10 +54,9 @@ Commands
     report — restarts, recovery times vs the SLO, shed/retry
     accounting, and bit-identity vs a fault-free run.
 ``lint``
-    Run the deshlint static-analysis gate — syntactic rules R1, R4 and
-    R5 and the dataflow analysis F4 (async atomicity) — over source
-    paths; exits 1 on any finding
-    not covered by an inline suppression or the baseline file.
+    Run the deshlint static-analysis gate — syntactic rules R4 and R5
+    and the dataflow analysis F4 (async atomicity) — over source paths;
+    exits 1 on any finding not covered by an inline suppression.
     ``--sarif`` additionally writes a SARIF 2.1.0 log for GitHub code
     scanning; ``--rules list`` prints the registry grouped by category.
 
@@ -87,20 +86,16 @@ from typing import Sequence
 
 from .analysis import lead_time_overall
 from .config import DeshConfig
-from .core import Desh, DeshModel, Phase3Predictor
-from .core.deltas import LeadTimeScaler
+from .core import Desh, DeshModel
 from .errors import ConfigError, ReproError
 from .io import chronological_split, read_records, save_ground_truth, write_log
-from .nn.model import SequenceRegressor
 from .nn.registry import registered_models
-from .parsing import LogParser, PhraseVocabulary
 from .simlog import generate_system
 
 __all__ = [
     "main",
     "build_parser",
     "save_model",
-    "load_predictor",
     "cmd_generate",
     "cmd_train",
     "cmd_predict",
@@ -210,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True, help="markdown output path")
 
     li = sub.add_parser(
-        "lint", help="run deshlint static analysis (R1, R4, R5, F4)"
+        "lint", help="run deshlint static analysis (R4, R5, F4)"
     )
     li.add_argument(
         "paths",
@@ -222,28 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         nargs="?",
         const="list",
-        help="comma-separated rule subset (e.g. R1,F4); default: all rules; "
+        help="comma-separated rule subset (e.g. R4,F4); default: all rules; "
         "bare --rules (or --rules list) prints the registry by category",
     )
     li.add_argument(
         "--sarif",
         metavar="PATH",
         help="also write findings as a SARIF 2.1.0 log (GitHub code scanning)",
-    )
-    li.add_argument(
-        "--baseline",
-        help="baseline file of grandfathered findings "
-        "(default: ./lint-baseline.json when present)",
-    )
-    li.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    li.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="grandfather all current findings into the baseline file",
     )
 
     tr = sub.add_parser(
@@ -373,47 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
 # model persistence
 # ----------------------------------------------------------------------
 def save_model(model: DeshModel, directory: str | Path) -> None:
-    """Persist a trained model *completely* (pipeline format 2).
+    """Persist a trained model *completely* (the current pipeline format).
 
-    Historically this kept only the phase-2 regressor, vocabulary and
-    scaler — a reloaded "model" could score episodes but had lost its
-    embeddings, failure chains and classifier.  It now delegates to
-    :func:`repro.pipeline.save_model`, whose directory layout is a
-    strict superset of the legacy files, so :func:`load_predictor`
-    keeps working on newly written directories while
-    :meth:`DeshModel.load` restores everything.
+    Delegates to :func:`repro.pipeline.save_model`;
+    :func:`repro.pipeline.load_model` (and :meth:`DeshModel.load`)
+    restores everything it writes.
     """
     from .pipeline.persist import save_model as _save_full_model
 
     _save_full_model(model, directory)
-
-
-def load_predictor(
-    directory: str | Path, config: DeshConfig
-) -> tuple[LogParser, Phase3Predictor]:
-    """Rebuild a parser + phase-3 predictor from a model directory.
-
-    The parser is reconstructed from the persisted vocabulary so phrase
-    ids match training exactly; the learned regressor weights and scaler
-    parameters come from disk.
-    """
-    directory = Path(directory)
-    regressor = SequenceRegressor.load(directory / "phase2.npz")
-    meta = json.loads((directory / "meta.json").read_text())
-    scaler = LeadTimeScaler(
-        max_lead_seconds=float(meta["max_lead_seconds"]),
-        vocab_size=int(meta["vocab_size"]),
-        id_scale=float(meta["id_scale"]),
-    )
-    vocab = PhraseVocabulary.load(directory / "vocab.json")
-    parser = LogParser.from_vocabulary(vocab)
-    predictor = Phase3Predictor(
-        regressor,
-        scaler,
-        config=config.phase3,
-        episode_gap=config.phase2.max_lead_seconds,
-    )
-    return parser, predictor
 
 
 # ----------------------------------------------------------------------
@@ -488,16 +436,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """``repro predict``: emit failure warnings for a test log."""
-    from .errors import SerializationError
     from .pipeline.persist import load_model
 
-    config = DeshConfig()
-    try:
-        model = load_model(args.model_dir)
-        parser, predictor = model.parser, model.predictor
-    except SerializationError:
-        # Legacy (format-1) model directory: regressor + vocab only.
-        parser, predictor = load_predictor(args.model_dir, config)
+    model = load_model(args.model_dir)
+    parser, predictor = model.parser, model.predictor
     from .obs import current_tracer
 
     with current_tracer().span("ingest.read", path=str(args.log)) as span:
@@ -648,15 +590,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """``repro lint``: static-analysis gate; exit 1 on any new finding.
+    """``repro lint``: static-analysis gate; exit 1 on any finding.
 
     With no paths, lints the installed ``repro`` package itself (the
-    self-lint CI gate).  ``--update-baseline`` grandfathers the current
-    findings so the gate only fails on regressions; ``--sarif`` writes
-    a SARIF 2.1.0 log alongside the normal output.
+    self-lint CI gate).  ``--sarif`` writes a SARIF 2.1.0 log alongside
+    the normal output.
     """
-    from .lint import Baseline, all_rules, get_rules
-    from .lint.engine import lint_modules, load_modules
+    from .lint import all_rules, get_rules, lint_paths
 
     if args.rules in ("list", "help"):
         from .lint.rules import rules_by_category
@@ -673,32 +613,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if args.rules
         else None
     )
-    baseline_path: Path | None = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    elif not args.no_baseline and Path("lint-baseline.json").exists():
-        baseline_path = Path("lint-baseline.json")
-
-    modules, parse_errors = load_modules(paths)
-
-    if args.update_baseline:
-        report = lint_modules(modules, rules=rules, parse_errors=parse_errors)
-        target = baseline_path or Path("lint-baseline.json")
-        Baseline.from_findings(report.findings).save(
-            target, findings=report.findings
-        )
-        print(
-            f"wrote baseline with {len(report.findings)} "
-            f"grandfathered finding(s) to {target}"
-        )
-        return 0
-
-    baseline = None
-    if baseline_path is not None and not args.no_baseline:
-        baseline = Baseline.load(baseline_path)
-    report = lint_modules(
-        modules, rules=rules, baseline=baseline, parse_errors=parse_errors
-    )
+    report = lint_paths(paths, rules=rules)
 
     if args.sarif:
         from .lint.sarif import write_sarif
@@ -711,12 +626,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         for finding in report.findings:
             print(finding.render())
-        suffix = (
-            f" ({len(report.baselined)} baselined)" if report.baselined else ""
-        )
         print(
             f"deshlint: {report.modules} modules, "
-            f"{len(report.findings)} finding(s){suffix}"
+            f"{len(report.findings)} finding(s)"
         )
     return 1 if report.findings else 0
 

@@ -2,12 +2,10 @@
 
 The reproduction's trust chain (30/70 split, per-phase seeds,
 checkpoint bit-identity) depends on invariants no test exercises
-directly: seeded RNG threading, typed errors and an honest public API.
-deshlint machine-enforces them:
+directly: typed errors and an honest public API.  deshlint
+machine-enforces them:
 
 =====  ==============================================================
-R1     RNG discipline — no stdlib ``random``, no module-level
-       ``np.random`` samplers; thread ``np.random.Generator`` objects.
 R4     Exception hygiene — no bare excepts; broad catches need an
        ``allow[R4]`` justification; raise ``repro.errors`` types.
 R5     Public API — docstrings + truthful ``__all__`` everywhere.
@@ -25,17 +23,16 @@ F4     Async atomicity — no read-modify-write or check-then-act on
 
 Stage isolation and reproducibility are checked at run time instead:
 the pipeline runner hands each stage only its declared deps, and
-``tests/test_pipeline_hashseed.py`` compares artifact stores across
-hash seeds.  Tensor shapes and dtypes are checked at run time too, by
-the ``@tensor_contract`` specs in :mod:`repro.nn.contracts`.
+``tests/test_pipeline_hashseed.py`` compares artifact stores and the
+chaos and serve paths' seeded outputs across hash seeds.  Tensor
+shapes and dtypes are checked at run time too, by the
+``@tensor_contract`` specs in :mod:`repro.nn.contracts`.
 
 Findings are suppressed inline with ``# deshlint: allow[RULE] reason``
-(reason mandatory) or grandfathered via a checked-in baseline file;
-``repro lint --sarif`` exports SARIF 2.1.0 for GitHub code scanning.
-See ``repro lint --help`` and the README's "Static analysis" section.
+(reason mandatory); ``repro lint --sarif`` exports SARIF 2.1.0 for
+GitHub code scanning.  See ``repro lint --help`` and the README's "Static analysis" section.
 """
 
-from .baseline import Baseline
 from .engine import LintReport, lint_modules, lint_paths, lint_source, load_modules
 from .findings import Finding
 from .rules import (
@@ -50,7 +47,6 @@ from .sarif import sarif_log, write_sarif
 from .suppressions import Suppression, SuppressionIndex, parse_suppressions
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleInfo",

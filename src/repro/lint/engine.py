@@ -1,11 +1,10 @@
-"""deshlint driver: discover files, run rules, apply suppressions + baseline.
+"""deshlint driver: discover files, run rules, apply suppressions.
 
 :func:`lint_paths` is the whole programmatic API surface: it walks the
 given files/directories, parses each module once, runs every registered
-rule over each module, drops findings covered by inline
-``# deshlint: allow[RULE] reason`` comments, and finally splits what
-remains against the checked-in baseline.  :func:`lint_source` wraps a
-single in-memory snippet — the unit-test entry point.
+rule over each module and drops findings covered by inline
+``# deshlint: allow[RULE] reason`` comments.  :func:`lint_source` wraps
+a single in-memory snippet — the unit-test entry point.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import LintError
-from .baseline import Baseline
 from .findings import Finding
 from .rules import ModuleInfo, Rule, all_rules
 from .suppressions import parse_suppressions
@@ -37,12 +35,11 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     modules: int = 0
 
     @property
     def ok(self) -> bool:
-        """Whether the run produced zero non-baselined findings."""
+        """Whether the run produced zero findings."""
         return not self.findings
 
     def to_dict(self) -> dict:
@@ -51,7 +48,6 @@ class LintReport:
             "ok": self.ok,
             "modules": self.modules,
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": len(self.baselined),
         }
 
 
@@ -145,7 +141,6 @@ def lint_modules(
     modules: Sequence[ModuleInfo],
     *,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     parse_errors: Sequence[Finding] = (),
 ) -> LintReport:
     """Run *rules* over already-parsed modules (the core of the engine)."""
@@ -153,30 +148,21 @@ def lint_modules(
     findings = list(parse_errors)
     findings.extend(_run_rules(modules, rules))
     # An ``allow`` is judged against the whole registry, not the rules
-    # that ran, so ``--rules R1`` does not flag a valid ``allow[F4]``.
+    # that ran, so ``--rules R4`` does not flag a valid ``allow[F4]``.
     known = {rule.id for rule in all_rules()} | {rule.id for rule in rules}
     findings = _apply_suppressions(modules, findings, known)
     findings.sort()
-    if baseline is not None:
-        fresh, grandfathered = baseline.filter(findings)
-    else:
-        fresh, grandfathered = findings, []
-    return LintReport(
-        findings=fresh, baselined=grandfathered, modules=len(modules)
-    )
+    return LintReport(findings=findings, modules=len(modules))
 
 
 def lint_paths(
     paths: Iterable["str | Path"],
     *,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint every Python file under *paths* with the registered rules."""
     modules, parse_errors = load_modules(paths)
-    return lint_modules(
-        modules, rules=rules, baseline=baseline, parse_errors=parse_errors
-    )
+    return lint_modules(modules, rules=rules, parse_errors=parse_errors)
 
 
 def lint_source(

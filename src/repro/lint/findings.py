@@ -1,9 +1,9 @@
 """The unit of deshlint output: one :class:`Finding` at one source site.
 
 A finding's :meth:`~Finding.key` deliberately hashes the *content* of
-the flagged line rather than its number, so a baseline entry survives
-unrelated edits above it but stops matching the moment the flagged code
-itself changes.
+the flagged line rather than its number, so a SARIF fingerprint
+survives unrelated edits above it but stops matching the moment the
+flagged code itself changes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class Finding:
     related: tuple = field(compare=False, default=())
 
     def key(self) -> str:
-        """Baseline identity: rule + file + flagged-line content hash."""
+        """Stable identity: rule + file + flagged-line content hash."""
         text = f"{self.rule}|{self.path}|{self.snippet.strip()}"
         return hashlib.sha256(text.encode()).hexdigest()[:24]
 

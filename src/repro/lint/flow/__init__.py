@@ -17,8 +17,8 @@ rule F4:
   :func:`~repro.lint.flow.cfg.head_awaits`).
 
 F4 plugs into the ordinary rule engine: suppressions
-(``# deshlint: allow[F4] reason``), the baseline, ``--rules`` subsets
-and the CI gate apply unchanged.  Tensor shapes are not analysed here:
+(``# deshlint: allow[F4] reason``), ``--rules`` subsets and the CI
+gate apply unchanged.  Tensor shapes are not analysed here:
 the nn layers' ``@tensor_contract`` specs are checked at run time.
 """
 

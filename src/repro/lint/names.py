@@ -1,8 +1,8 @@
 """Shared AST name-resolution helpers for deshlint rules.
 
-Rules that reason about *what a call refers to* (R1 RNG discipline and
-R4 exception hygiene) both need the same primitive: expand
-a ``Name``/``Attribute`` chain against the module's import aliases into
+Rules that reason about *what a call refers to* (R4 exception hygiene
+resolves the classes it sees raised) need one primitive: expand a
+``Name``/``Attribute`` chain against the module's import aliases into
 a best-effort dotted path like ``numpy.random.randint``.  This is a
 purely syntactic resolution — no imports are executed.
 """

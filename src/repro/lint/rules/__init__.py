@@ -6,7 +6,7 @@ parsed AST) and report :class:`~repro.lint.findings.Finding` objects
 from one hook, :meth:`Rule.check_module`, which checks each module
 independently.
 
-Importing this package loads the built-in rules R1, R4 and R5 and the
+Importing this package loads the built-in rules R4 and R5 and the
 dataflow rule F4; external code can register additional rules
 before calling the engine.  Every rule carries a ``category`` —
 ``"syntactic"`` for AST pattern checks, ``"dataflow"`` for the
@@ -92,7 +92,7 @@ class ModuleInfo:
 class Rule:
     """Base class for deshlint rules."""
 
-    #: Short stable identifier used in findings, suppressions, baselines.
+    #: Short stable identifier used in findings and suppressions.
     id: str = ""
     #: One-line description shown by ``repro lint --rules list`` and docs.
     summary: str = ""
@@ -112,8 +112,8 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the global registry.
 
     Rejects duplicate ids and unknown categories at registration time —
-    a colliding id would silently shadow an existing rule's findings,
-    suppressions and baseline entries.
+    a colliding id would silently shadow an existing rule's findings
+    and suppressions.
     """
     if not cls.id:
         raise LintError(f"rule {cls.__name__} has no id")
@@ -137,7 +137,7 @@ def get_rules(ids: Iterable[str]) -> list[Rule]:
     """Fresh instances of the named rules; unknown or repeated ids raise.
 
     A repeated id would run the rule twice and double-report every
-    finding, so ``--rules R1,R1`` is a usage error, not a no-op.
+    finding, so ``--rules R4,R4`` is a usage error, not a no-op.
     """
     out = []
     seen = set()
@@ -163,5 +163,5 @@ def rules_by_category() -> dict[str, list[Rule]]:
 # Built-in rules register themselves on import.  The dataflow rule F4
 # lives under repro.lint.flow (next to the CFG/solver machinery it is
 # built on) but hooks into the same registry.
-from . import api, exceptions, rng  # noqa: E402,F401
+from . import api, exceptions  # noqa: E402,F401
 from ..flow import atomicity  # noqa: E402,F401

@@ -16,9 +16,9 @@ into inline PR annotations.  The writer emits a single-run log with
 * ``relatedLocations`` for multi-site dataflow findings — F4 renders
   the read/await/write interleaving window — so code scanning
   annotates every hop, not just the reporting line;
-* ``partialFingerprints`` reusing :meth:`Finding.key` — the same
-  content-keyed identity the baseline uses — so code-scanning alert
-  tracking survives unrelated edits exactly like the baseline does.
+* ``partialFingerprints`` reusing :meth:`Finding.key` — a
+  content-keyed identity — so code-scanning alert tracking survives
+  unrelated edits above the flagged line.
 
 File URIs are emitted repo-relative with forward slashes whenever the
 linted path sits under the current working directory, which is what

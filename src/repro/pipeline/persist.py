@@ -8,8 +8,7 @@ classifier, so it could neither classify warnings nor learn online via
 :func:`load_model` restores a :class:`~repro.core.desh.DeshModel` whose
 ``warn()`` output is identical to the model that was saved.
 
-Directory layout (format 3; a superset of the legacy layout, so legacy
-readers like ``cli.load_predictor`` keep working on new directories).
+Directory layout (format 3; a superset of the legacy format-1 layout).
 Format 3 adds the model-zoo identity (``meta.json``'s ``model`` field +
 per-network backbone metadata inside the npz payloads); format-2
 directories — written before the zoo existed — load fine and are
@@ -105,8 +104,8 @@ def load_model(directory: str | Path):
     """Restore a complete :class:`DeshModel` saved by :func:`save_model`.
 
     Raises :class:`SerializationError` for legacy (format-1) model
-    directories, which lack the phase-1/chain/classifier payloads —
-    those still load through :func:`repro.cli.load_predictor`.
+    directories, which lack the phase-1/chain/classifier payloads and
+    cannot be restored; retrain and save them again.
     """
     from ..core.desh import DeshModel
     from ..core.phase2 import Phase2Result
@@ -120,7 +119,7 @@ def load_model(directory: str | Path):
     if meta.get("format", 1) < _MIN_LOAD_FORMAT:
         raise SerializationError(
             f"{directory} holds a legacy (lossy) model directory; "
-            "re-save it with save_model, or load it via cli.load_predictor"
+            "retrain it and save it with save_model"
         )
     # Validate the manifest's model family before touching any weights:
     # a garbled name must surface as ConfigError naming the registry,

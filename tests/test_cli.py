@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, save_model, load_predictor
-from repro.config import DeshConfig
+from repro.cli import build_parser, main, save_model
 from repro.io import load_ground_truth, read_records, write_log
+from repro.pipeline import load_model
 
 
 class TestParser:
@@ -58,7 +58,7 @@ class TestModelPersistence:
         meta = json.loads((tmp_path / "model" / "meta.json").read_text())
         assert meta["vocab_size"] == trained_model.phase2.scaler.vocab_size
 
-        parser, predictor = load_predictor(tmp_path / "model", DeshConfig())
+        predictor = load_model(tmp_path / "model").predictor
         assert predictor.scaler.max_lead_seconds == (
             trained_model.phase2.scaler.max_lead_seconds
         )
@@ -68,7 +68,7 @@ class TestModelPersistence:
     ):
         """Verdicts from the persisted model agree with the live one."""
         save_model(trained_model, tmp_path / "model")
-        _, predictor = load_predictor(tmp_path / "model", trained_model.config)
+        predictor = load_model(tmp_path / "model").predictor
         parsed = trained_model.parse(test_split.records)
         sequences = [
             s for s in parsed.by_node().values() if s.node is not None
@@ -78,6 +78,32 @@ class TestModelPersistence:
         assert [(v.flagged, round(v.mse, 9)) for v in live] == [
             (v.flagged, round(v.mse, 9)) for v in loaded
         ]
+
+    def test_predict_rejects_legacy_model_dir(
+        self, trained_model, small_log, tmp_path, capsys
+    ):
+        """A format-1 directory (regressor + vocab only) is refused."""
+        directory = tmp_path / "legacy"
+        directory.mkdir()
+        trained_model.phase2.regressor.save(directory / "phase2.npz")
+        trained_model.parser.vocab.save(directory / "vocab.json")
+        scaler = trained_model.phase2.scaler
+        (directory / "meta.json").write_text(
+            json.dumps(
+                {
+                    "max_lead_seconds": scaler.max_lead_seconds,
+                    "vocab_size": scaler.vocab_size,
+                    "id_scale": scaler.id_scale,
+                }
+            )
+        )
+        log_path = tmp_path / "test.log.gz"
+        write_log(log_path, small_log.records[:50])
+        code = main(
+            ["predict", "--log", str(log_path), "--model-dir", str(directory)]
+        )
+        assert code != 0
+        assert "legacy" in capsys.readouterr().err
 
 
 class TestTrainPredictRoundTrip:

@@ -1,4 +1,4 @@
-"""Engine-level deshlint tests: suppressions, baseline, discovery, CLI."""
+"""Engine-level deshlint tests: suppressions, discovery, CLI, registry."""
 
 import json
 import subprocess
@@ -10,8 +10,6 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import (
-    Baseline,
-    Finding,
     get_rules,
     lint_paths,
     lint_source,
@@ -21,6 +19,9 @@ from repro.lint import (
 
 pytestmark = pytest.mark.lint
 
+#: A module whose one R4 finding (a bare except) sits on line 5.
+BARE_EXCEPT = '"""Doc."""\n\ntry:\n    pass\nexcept:\n    pass\n'
+
 
 # ----------------------------------------------------------------------
 # Inline suppressions
@@ -28,8 +29,9 @@ pytestmark = pytest.mark.lint
 class TestSuppressions:
     def test_trailing_allow_suppresses_own_line(self):
         findings = lint_source(
-            "import random  # deshlint: allow[R1] docs example only\n",
-            rules=get_rules(["R1"]),
+            "try:\n    work()\n"
+            "except:  # deshlint: allow[R4] docs example only\n    pass\n",
+            rules=get_rules(["R4"]),
         )
         assert findings == []
 
@@ -37,11 +39,14 @@ class TestSuppressions:
         findings = lint_source(
             textwrap.dedent(
                 """
-                # deshlint: allow[R1] legacy shim kept for comparison
-                import random
+                try:
+                    work()
+                # deshlint: allow[R4] legacy shim kept for comparison
+                except:
+                    pass
                 """
             ),
-            rules=get_rules(["R1"]),
+            rules=get_rules(["R4"]),
         )
         assert findings == []
 
@@ -65,27 +70,28 @@ class TestSuppressions:
 
     def test_allow_without_reason_is_rejected_and_reported(self):
         findings = lint_source(
-            "import random  # deshlint: allow[R1]\n",
-            rules=get_rules(["R1"]),
+            "try:\n    work()\nexcept:  # deshlint: allow[R4]\n    pass\n",
+            rules=get_rules(["R4"]),
         )
         rules = {f.rule for f in findings}
-        assert "R1" in rules  # suppression did not take effect
+        assert "R4" in rules  # suppression did not take effect
         assert "SUP" in rules  # and the malformed allow is itself flagged
 
     def test_allow_for_other_rule_does_not_suppress(self):
-        # R4 did not run but is registered, so its allow is no SUP finding.
+        # R5 did not run but is registered, so its allow is no SUP finding.
         findings = lint_source(
-            "import random  # deshlint: allow[R4] wrong rule id\n",
-            rules=get_rules(["R1"]),
+            "try:\n    work()\n"
+            "except:  # deshlint: allow[R5] wrong rule id\n    pass\n",
+            rules=get_rules(["R4"]),
         )
-        assert {f.rule for f in findings} == {"R1"}
+        assert {f.rule for f in findings} == {"R4"}
 
-    @pytest.mark.parametrize("rule_id", ["R2", "R3", "F1", "F2"])
+    @pytest.mark.parametrize("rule_id", ["R1", "R2", "R3", "F1", "F2"])
     def test_allow_naming_retired_rule_is_reported(self, rule_id):
         # A retired rule's allow now justifies nothing.
         findings = lint_source(
             f"x = 1  # deshlint: allow[{rule_id}] old justification\n",
-            rules=get_rules(["R1"]),
+            rules=get_rules(["R4"]),
         )
         assert [f.rule for f in findings] == ["SUP"]
         assert f"unknown rule id {rule_id}" in findings[0].message
@@ -94,73 +100,18 @@ class TestSuppressions:
         # A typo (F44) or a rule since deleted must not pass silently.
         findings = lint_source(
             "x = 1  # deshlint: allow[F44] typo for F4\n",
-            rules=get_rules(["R1"]),
+            rules=get_rules(["R4"]),
         )
         assert [f.rule for f in findings] == ["SUP"]
         assert "unknown rule id F44" in findings[0].message
 
     def test_allow_multiple_rules_in_one_comment(self):
         index = parse_suppressions(
-            "x = 1  # deshlint: allow[R1, R4] shared justification\n"
+            "x = 1  # deshlint: allow[R4, R5] shared justification\n"
         )
-        assert index.covers(1, "R1")
         assert index.covers(1, "R4")
+        assert index.covers(1, "R5")
         assert not index.covers(1, "F4")
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def _finding(self, snippet, line=3):
-        return Finding(
-            path="pkg/mod.py",
-            line=line,
-            col=1,
-            rule="R1",
-            message="msg",
-            snippet=snippet,
-        )
-
-    def test_round_trip(self, tmp_path):
-        f = self._finding("import random")
-        baseline = Baseline.from_findings([f])
-        path = tmp_path / "baseline.json"
-        baseline.save(path, findings=[f])
-        loaded = Baseline.load(path)
-        fresh, grandfathered = loaded.filter([f])
-        assert fresh == []
-        assert grandfathered == [f]
-
-    def test_key_tracks_line_drift(self):
-        # Same content on a different line is still grandfathered.
-        baseline = Baseline.from_findings([self._finding("import random", line=3)])
-        moved = self._finding("import random", line=40)
-        fresh, grandfathered = baseline.filter([moved])
-        assert fresh == []
-        assert grandfathered == [moved]
-
-    def test_count_budget_blocks_duplicates(self):
-        baseline = Baseline.from_findings([self._finding("import random")])
-        dupes = [self._finding("import random") for _ in range(2)]
-        fresh, grandfathered = baseline.filter(dupes)
-        assert len(grandfathered) == 1
-        assert len(fresh) == 1
-
-    def test_new_finding_is_fresh(self):
-        baseline = Baseline.from_findings([self._finding("import random")])
-        other = self._finding("from random import shuffle")
-        fresh, _ = baseline.filter([other])
-        assert fresh == [other]
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(LintError):
-            Baseline.load(path)
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(LintError):
-            Baseline.load(path)
 
 
 # ----------------------------------------------------------------------
@@ -180,11 +131,11 @@ class TestDriver:
             lint_paths([tmp_path / "nope"])
 
     @pytest.mark.parametrize(
-        "rule_id", ["R99", "R2", "R3", "F1", "F2", "F3", "F5", "F6"]
+        "rule_id", ["R99", "R1", "R2", "R3", "F1", "F2", "F3", "F5", "F6"]
     )
     def test_unknown_rule_id_raises(self, rule_id):
-        # R2, R3, F1, F2, F3, F5 and F6 are retired ids: asking for them
-        # is a usage error.
+        # R1, R2, R3, F1, F2, F3, F5 and F6 are retired ids: asking for
+        # them is a usage error.
         with pytest.raises(LintError):
             get_rules([rule_id])
 
@@ -192,21 +143,21 @@ class TestDriver:
         (tmp_path / "ok.py").write_text('"""Doc."""\n')
         cache = tmp_path / "__pycache__"
         cache.mkdir()
-        (cache / "stale.py").write_text("import random\n")
-        report = lint_paths([tmp_path], rules=get_rules(["R1"]))
+        (cache / "stale.py").write_text(BARE_EXCEPT)
+        report = lint_paths([tmp_path], rules=get_rules(["R4"]))
         assert report.modules == 1
         assert report.findings == []
 
     def test_findings_sorted_by_location(self, tmp_path):
-        (tmp_path / "b.py").write_text("import random\n")
-        (tmp_path / "a.py").write_text("import numpy as np\nnp.random.seed(0)\n")
-        report = lint_paths([tmp_path], rules=get_rules(["R1"]))
+        (tmp_path / "b.py").write_text(BARE_EXCEPT)
+        (tmp_path / "a.py").write_text(BARE_EXCEPT)
+        report = lint_paths([tmp_path], rules=get_rules(["R4"]))
         paths = [Path(f.path).name for f in report.findings]
-        assert paths == sorted(paths)
+        assert paths == ["a.py", "b.py"]
 
 
 # ----------------------------------------------------------------------
-# CLI flow: bad file -> exit 1; --update-baseline -> exit 0
+# CLI flow: bad file -> exit 1; usage errors -> exit 2
 # ----------------------------------------------------------------------
 class TestCliLint:
     def _run(self, *args, cwd):
@@ -219,53 +170,51 @@ class TestCliLint:
             text=True,
         )
 
-    def test_bad_file_fails_then_baseline_rescues(self, tmp_path):
+    def test_bad_file_fails_with_text_and_json_reports(self, tmp_path):
         bad = tmp_path / "offender.py"
-        bad.write_text('"""Doc."""\n\nimport random\n')
+        bad.write_text(BARE_EXCEPT)
 
-        first = self._run(str(bad), "--no-baseline", cwd=tmp_path)
+        first = self._run(str(bad), cwd=tmp_path)
         assert first.returncode == 1
-        assert "R1" in first.stdout
+        assert "R4" in first.stdout
 
-        json_run = self._run(str(bad), "--no-baseline", "--json", cwd=tmp_path)
+        json_run = self._run(str(bad), "--json", cwd=tmp_path)
+        assert json_run.returncode == 1
         payload = json.loads(json_run.stdout)
         assert payload["ok"] is False
-        assert payload["findings"][0]["rule"] == "R1"
+        assert payload["findings"][0]["rule"] == "R4"
 
-        update = self._run(str(bad), "--update-baseline", cwd=tmp_path)
-        assert update.returncode == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-
-        second = self._run(str(bad), cwd=tmp_path)
-        assert second.returncode == 0
-        assert "baselined" in second.stdout
+    def test_retired_rule_id_is_a_usage_error(self, tmp_path):
+        bad = tmp_path / "offender.py"
+        bad.write_text(BARE_EXCEPT)
+        run = self._run(str(bad), "--rules", "R1", cwd=tmp_path)
+        assert run.returncode == 2
+        assert "unknown rule 'R1'" in run.stderr
 
     def test_sarif_export(self, tmp_path):
         bad = tmp_path / "offender.py"
-        bad.write_text('"""Doc."""\n\nimport random\n')
+        bad.write_text(BARE_EXCEPT)
         sarif_path = tmp_path / "out.sarif"
 
-        run = self._run(
-            str(bad), "--no-baseline", "--sarif", str(sarif_path), cwd=tmp_path
-        )
+        run = self._run(str(bad), "--sarif", str(sarif_path), cwd=tmp_path)
         assert run.returncode == 1
         log = json.loads(sarif_path.read_text())
         assert log["version"] == "2.1.0"
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "deshlint"
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"R1", "F4"} <= rule_ids  # what ran, not what fired
+        assert {"R4", "F4"} <= rule_ids  # what ran, not what fired
         rule_meta = {r["id"]: r for r in driver["rules"]}
         assert {
             meta["defaultConfiguration"]["level"] for meta in rule_meta.values()
         } == {"warning"}
-        assert rule_meta["R1"]["helpUri"].endswith("#rule-r1")
+        assert rule_meta["R4"]["helpUri"].endswith("#rule-r4")
         results = log["runs"][0]["results"]
-        assert results[0]["ruleId"] == "R1"
+        assert results[0]["ruleId"] == "R4"
         # Registered rules annotate at the one default level.
         assert results[0]["level"] == "warning"
         region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 3
+        assert region["startLine"] == 5
         assert "deshlintKey/v1" in results[0]["partialFingerprints"]
 
     def test_sarif_related_locations_for_dataflow_findings(self, tmp_path):
@@ -323,7 +272,7 @@ class TestCliLint:
         assert run.returncode == 0
         out = run.stdout
         assert out.index("syntactic:") < out.index("dataflow:")
-        for rule_id in ("R1", "R5", "F4"):
+        for rule_id in ("R4", "R5", "F4"):
             assert f"\n  {rule_id} " in out
         assert "\n  F1 " not in out
         # F-rules listed under the dataflow heading, not before it.
@@ -340,7 +289,7 @@ class TestRegistry:
         with pytest.raises(LintError, match="duplicate rule id"):
             @register
             class Clone(Rule):  # noqa: F811 - the point of the test
-                id = "R1"
+                id = "R4"
                 summary = "imposter"
 
     def test_unknown_category_rejected_at_registration(self):
@@ -355,7 +304,7 @@ class TestRegistry:
 
     def test_get_rules_rejects_repeated_ids(self):
         with pytest.raises(LintError, match="more than once"):
-            get_rules(["R1", "R1"])
+            get_rules(["R4", "R4"])
 
     def test_rules_by_category_covers_every_rule(self):
         from repro.lint import all_rules, rules_by_category
@@ -364,6 +313,6 @@ class TestRegistry:
         assert list(grouped) == ["syntactic", "dataflow"]
         flattened = {r.id for rules in grouped.values() for r in rules}
         assert flattened == {r.id for r in all_rules()}
-        assert [r.id for r in all_rules()] == ["F4", "R1", "R4", "R5"]
-        assert {r.id for r in grouped["syntactic"]} == {"R1", "R4", "R5"}
+        assert [r.id for r in all_rules()] == ["F4", "R4", "R5"]
+        assert {r.id for r in grouped["syntactic"]} == {"R4", "R5"}
         assert {r.id for r in grouped["dataflow"]} == {"F4"}

@@ -15,83 +15,7 @@ def run_rule(rule_id, source):
     )
 
 
-def rules_hit(findings):
-    return {f.rule for f in findings}
-
-
 pytestmark = pytest.mark.lint
-
-
-# ----------------------------------------------------------------------
-# R1 — RNG discipline
-# ----------------------------------------------------------------------
-class TestR1RngDiscipline:
-    def test_flags_stdlib_random_import(self):
-        findings = run_rule("R1", "import random\n")
-        assert rules_hit(findings) == {"R1"}
-
-    def test_flags_from_random_import(self):
-        findings = run_rule("R1", "from random import shuffle\n")
-        assert rules_hit(findings) == {"R1"}
-
-    def test_flags_module_level_numpy_sampler(self):
-        findings = run_rule(
-            "R1",
-            """
-            import numpy as np
-            x = np.random.randint(0, 10)
-            """,
-        )
-        assert rules_hit(findings) == {"R1"}
-        assert "randint" in findings[0].message
-
-    def test_flags_np_random_seed(self):
-        findings = run_rule(
-            "R1",
-            """
-            import numpy as np
-            np.random.seed(0)
-            """,
-        )
-        assert len(findings) == 1
-
-    def test_flags_from_numpy_random_sampler_import(self):
-        findings = run_rule("R1", "from numpy.random import rand\n")
-        assert len(findings) == 1
-
-    def test_flags_sampler_passed_as_callback(self):
-        findings = run_rule(
-            "R1",
-            """
-            import numpy as np
-            f = np.random.shuffle
-            """,
-        )
-        assert len(findings) == 1
-
-    def test_allows_default_rng_and_generator(self):
-        findings = run_rule(
-            "R1",
-            """
-            import numpy as np
-
-            def draw(rng: np.random.Generator, seed: int):
-                rng = np.random.default_rng(seed)
-                ss = np.random.SeedSequence([seed])
-                return rng.integers(0, 10)
-            """,
-        )
-        assert findings == []
-
-    def test_respects_import_alias(self):
-        findings = run_rule(
-            "R1",
-            """
-            import numpy
-            numpy.random.uniform(0, 1)
-            """,
-        )
-        assert len(findings) == 1
 
 
 # ----------------------------------------------------------------------

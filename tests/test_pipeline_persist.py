@@ -13,8 +13,7 @@ import json
 import pytest
 
 from repro.analysis import evaluate_model
-from repro.cli import load_predictor, save_model
-from repro.config import DeshConfig
+from repro.cli import save_model
 from repro.core.desh import DeshModel
 from repro.errors import SerializationError
 from repro.pipeline import ArtifactStore, load_model
@@ -65,7 +64,7 @@ class TestFullModelRoundTrip:
     def test_cli_save_model_writes_legacy_superset(
         self, trained_model, tmp_path
     ):
-        """New directories keep every legacy file + key, so old readers work."""
+        """New directories keep every legacy file + key."""
         save_model(trained_model, tmp_path / "model")
         meta = json.loads((tmp_path / "model" / "meta.json").read_text())
         for key in (
@@ -76,9 +75,8 @@ class TestFullModelRoundTrip:
             "config_seed",
         ):
             assert key in meta
-        parser, predictor = load_predictor(
-            tmp_path / "model", trained_model.config
-        )
+        loaded = load_model(tmp_path / "model")
+        parser, predictor = loaded.parser, loaded.predictor
         assert parser.num_phrases == trained_model.num_phrases
         assert (
             predictor.scaler.max_lead_seconds
