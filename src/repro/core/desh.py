@@ -197,9 +197,8 @@ class Desh:
         Training runs through the staged pipeline
         (:class:`repro.pipeline.DeshPipeline`): parse → embeddings /
         chains → phase-1 LSTM / phase-2 regressor → classifier /
-        phase-3 spec.  Each stage reuses exactly the trainer code (and
-        seeds) of the original monolithic implementation, so the
-        returned model is bit-identical to the pre-pipeline ``fit``.
+        phase-3 spec.  Every seed comes from the config, so a cold,
+        warm or partially cached run returns a bit-identical model.
 
         ``train_classifier=False`` skips the phase-1 LSTM (embeddings and
         chains are still built); useful when only lead-time prediction is

@@ -10,10 +10,14 @@ Pipeline (Section 3.1, Figure 3a):
    cross-entropy to perform 3-step next-phrase prediction over history
    windows of size 8;
 4. phrases are labeled Safe / Unknown / Error; Safe phrases are dropped
-   and failure chains are formed around the known terminal messages.
+   and failure chains are formed around the known terminal messages
+   (:class:`~repro.core.chains.ChainExtractor`, run by the pipeline's
+   ``chains`` stage).
 
 The phase's artifacts — embeddings, the sequence classifier, and the
-extracted failure chains — feed phase 2.
+extracted failure chains — feed phase 2.  Each is one stage of
+:mod:`repro.pipeline.stages`; this module holds the two fits those
+stages call and :func:`node_sequences`, their shared input.
 """
 
 from __future__ import annotations
@@ -31,9 +35,21 @@ from ..nn.embeddings import SkipGramEmbedder
 from ..nn.model import SequenceClassifier
 from ..nn.optimizers import SGD
 from ..parsing.pipeline import LogParser, ParseResult
-from .chains import ChainExtractor, FailureChain
+from .chains import FailureChain
 
-__all__ = ["Phase1Trainer", "Phase1Result"]
+__all__ = ["Phase1Trainer", "Phase1Result", "node_sequences"]
+
+
+def node_sequences(parsed: ParseResult) -> list[EventSequence]:
+    """Node-attributed event sequences of *parsed*, validated."""
+    if len(parsed) == 0:
+        raise TrainingError("phase 1 received no parsed events")
+    sequences = [
+        seq for seq in parsed.by_node().values() if seq.node is not None
+    ]
+    if not sequences:
+        raise TrainingError("phase 1 needs node-attributed events")
+    return sequences
 
 
 @dataclass
@@ -54,7 +70,7 @@ class Phase1Result:
 
 
 class Phase1Trainer:
-    """Run the full phase-1 training pass."""
+    """The phase-1 fits: skip-gram embeddings and the phrase LSTM."""
 
     def __init__(
         self,
@@ -62,7 +78,6 @@ class Phase1Trainer:
         *,
         config: Phase1Config | None = None,
         embedding_config: EmbeddingConfig | None = None,
-        chain_extractor: ChainExtractor | None = None,
         seed: int = 0,
         model: str = "lstm",
         model_params: Mapping[str, object] | None = None,
@@ -72,63 +87,9 @@ class Phase1Trainer:
         self.embedding_config = (
             embedding_config if embedding_config is not None else EmbeddingConfig()
         )
-        self.chain_extractor = (
-            chain_extractor if chain_extractor is not None else ChainExtractor()
-        )
         self.seed = seed
         self.model = model
         self.model_params = dict(model_params or {})
-
-    # ------------------------------------------------------------------
-    def train(
-        self,
-        parsed: ParseResult,
-        *,
-        train_classifier: bool = True,
-        checkpoint=None,
-    ) -> Phase1Result:
-        """Train embeddings + sequence LSTM, then extract failure chains.
-
-        ``train_classifier=False`` skips the (comparatively expensive)
-        LSTM fit when only the chains are needed — e.g. in benches that
-        evaluate downstream stages in isolation.  ``checkpoint``
-        (a :class:`~repro.resilience.CheckpointManager`) makes the LSTM
-        fit resumable at epoch granularity; everything upstream of the
-        LSTM (embeddings, windows) is deterministic given the seed and
-        is simply recomputed on resume.
-        """
-        sequences = self.node_sequences(parsed)
-        embedder = self.train_embedder(sequences)
-
-        classifier: Optional[SequenceClassifier] = None
-        losses: list[float] = []
-        accuracy = 0.0
-        if train_classifier:
-            classifier, accuracy, losses = self.train_sequence_model(
-                sequences, embedder, checkpoint=checkpoint
-            )
-
-        chains = self.chain_extractor.extract(sequences)
-        return Phase1Result(
-            embedder=embedder,
-            classifier=classifier,
-            chains=chains,
-            sequences=sequences,
-            train_accuracy=accuracy,
-            losses=losses,
-        )
-
-    # ------------------------------------------------------------------
-    def node_sequences(self, parsed: ParseResult) -> list[EventSequence]:
-        """Node-attributed event sequences of *parsed*, validated."""
-        if len(parsed) == 0:
-            raise TrainingError("phase 1 received no parsed events")
-        sequences = [
-            seq for seq in parsed.by_node().values() if seq.node is not None
-        ]
-        if not sequences:
-            raise TrainingError("phase 1 needs node-attributed events")
-        return sequences
 
     def train_embedder(
         self, sequences: Sequence[EventSequence]
@@ -150,10 +111,7 @@ class Phase1Trainer:
     ) -> tuple[SequenceClassifier, float, list[float]]:
         """Fit the phrase-sequence LSTM on windows over *sequences*.
 
-        Returns ``(classifier, train_accuracy, losses)``.  Split out of
-        :meth:`train` so the staged pipeline can run (and cache) the
-        embedding and LSTM fits as separate stages while sharing the
-        exact code path — results are bit-identical either way.
+        Returns ``(classifier, train_accuracy, losses)``.
         """
         id_sequences = [seq.phrase_ids() for seq in sequences]
         vocab_size = max(2, self.parser.num_phrases)

@@ -43,49 +43,64 @@ def _merge_params(*sources: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     return out
 
 
-def _observe_epoch(
-    prefix: str, epoch: int, loss: float, elapsed_ms: float
-) -> None:
-    """Record one completed training epoch into the metrics registry.
+def _fit_epochs(
+    model, x, y, *, epochs, batch_size, optimizer, grad_clip, rng, checkpoint
+) -> list[float]:
+    """The epoch loop behind both models' ``fit``.
 
-    Per-epoch granularity keeps this cheap enough to run unconditionally
-    (a handful of dict lookups per epoch, not per batch).
+    Resumes from the newest checkpoint (when a manager is given), then
+    runs mini-batch steps — ``model._batch_loss`` does forward, loss and
+    backward; gradients are clipped before the optimizer step — and
+    records each epoch's mean loss in ``model.history``, the
+    ``<prefix>.epoch`` / ``.epoch_loss`` gauges and the ``.epoch_ms``
+    histogram, checkpointing after every epoch.
     """
-    registry = metrics_registry()
-    registry.gauge(f"{prefix}.epoch").set(float(epoch))
-    registry.gauge(f"{prefix}.epoch_loss").set(float(loss))
-    registry.histogram(f"{prefix}.epoch_ms").observe(elapsed_ms)
+    from ..resilience.checkpoint import pack_fit_state, restore_fit_state
 
-
-def _resume_fit(model, checkpoint, opt, rng) -> int:
-    """Restore params/optimizer/rng/history from the newest checkpoint.
-
-    Returns the number of already-completed epochs (0 when the manager
-    holds no checkpoint yet).
-    """
-    from ..resilience.checkpoint import restore_fit_state
-
-    resumed = checkpoint.load_latest()
-    if resumed is None:
-        return 0
-    _, arrays, meta = resumed
-    epoch = restore_fit_state(arrays, meta, model.params(), opt, rng)
-    model.history = [float(v) for v in meta.get("history", [])]
-    return epoch
-
-
-def _checkpoint_fit(model, checkpoint, opt, rng, epoch: int) -> None:
-    """Write an epoch-granular checkpoint of the in-progress fit."""
-    from ..resilience.checkpoint import pack_fit_state
-
-    arrays, meta = pack_fit_state(
-        model.params(),
-        opt,
-        rng,
-        epoch=epoch,
-        extra_meta={"history": [float(v) for v in model.history]},
-    )
-    checkpoint.save(epoch, arrays, meta)
+    prefix = model._metric_prefix
+    rng = rng if rng is not None else np.random.default_rng(model.seed)
+    start_epoch = 0
+    resumed = checkpoint.load_latest() if checkpoint is not None else None
+    if resumed is not None:
+        _, arrays, meta = resumed
+        start_epoch = restore_fit_state(
+            arrays, meta, model.params(), optimizer, rng
+        )
+        model.history = [float(v) for v in meta.get("history", [])]
+    with current_tracer().span(
+        f"{prefix}.fit", windows=len(x), epochs=epochs
+    ) as fit_span:
+        for epoch in range(start_epoch, epochs):
+            tick = time.perf_counter()
+            epoch_loss = 0.0
+            batches = 0
+            for idx in batch_iterator(len(x), batch_size, rng):
+                model._zero_grad()
+                loss = model._batch_loss(x[idx], y[idx])
+                grads = model.grads()
+                clip_gradients(grads, grad_clip)
+                optimizer.step(model.params(), grads)
+                epoch_loss += loss
+                batches += 1
+            model.history.append(epoch_loss / max(batches, 1))
+            elapsed_ms = (time.perf_counter() - tick) * 1e3
+            registry = metrics_registry()
+            registry.gauge(f"{prefix}.epoch").set(float(epoch))
+            registry.gauge(f"{prefix}.epoch_loss").set(model.history[-1])
+            registry.histogram(f"{prefix}.epoch_ms").observe(elapsed_ms)
+            if checkpoint is not None:
+                arrays, meta = pack_fit_state(
+                    model.params(),
+                    optimizer,
+                    rng,
+                    epoch=epoch + 1,
+                    extra_meta={"history": [float(v) for v in model.history]},
+                )
+                checkpoint.save(epoch + 1, arrays, meta)
+        if model.history:
+            fit_span.set(final_loss=model.history[-1])
+    model._fitted = True
+    return model.history
 
 
 class SequenceClassifier:
@@ -97,6 +112,8 @@ class SequenceClassifier:
     family (``lstm``/``tcn``); ``backbone_params`` are the
     family-specific hyperparameter overrides.
     """
+
+    _metric_prefix = "nn.classifier"
 
     def __init__(
         self,
@@ -214,47 +231,24 @@ class SequenceClassifier:
         if len(x) == 0:
             raise TrainingError("no training windows")
         opt = optimizer if optimizer is not None else SGD(0.5, momentum=0.9)
-        rng = rng if rng is not None else np.random.default_rng(self.seed)
-        start_epoch = 0
-        if checkpoint is not None:
-            start_epoch = _resume_fit(self, checkpoint, opt, rng)
-        with current_tracer().span(
-            "nn.classifier.fit", windows=len(x), epochs=epochs
-        ) as fit_span:
-            for epoch in range(start_epoch, epochs):
-                tick = time.perf_counter()
-                epoch_loss = 0.0
-                batches = 0
-                for idx in batch_iterator(len(x), batch_size, rng):
-                    self._zero_grad()
-                    logits = self.forward(x[idx])
-                    loss = 0.0
-                    dlogits = []
-                    for k in range(self.steps):
-                        loss += self.loss_fn.loss(logits[k], y[idx, k])
-                        dlogits.append(self.loss_fn.grad(logits[k], y[idx, k]))
-                    loss /= self.steps
-                    for dl in dlogits:
-                        dl /= self.steps
-                    self._backward(dlogits)
-                    grads = self.grads()
-                    clip_gradients(grads, grad_clip)
-                    opt.step(self.params(), grads)
-                    epoch_loss += loss
-                    batches += 1
-                self.history.append(epoch_loss / max(batches, 1))
-                _observe_epoch(
-                    "nn.classifier",
-                    epoch,
-                    self.history[-1],
-                    (time.perf_counter() - tick) * 1e3,
-                )
-                if checkpoint is not None:
-                    _checkpoint_fit(self, checkpoint, opt, rng, epoch + 1)
-            if self.history:
-                fit_span.set(final_loss=self.history[-1])
-        self._fitted = True
-        return self.history
+        return _fit_epochs(
+            self, x, y, epochs=epochs, batch_size=batch_size, optimizer=opt,
+            grad_clip=grad_clip, rng=rng, checkpoint=checkpoint,
+        )
+
+    def _batch_loss(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        """Forward, mean per-step cross-entropy, backward; returns the loss."""
+        logits = self.forward(xb)
+        loss = 0.0
+        dlogits = []
+        for k in range(self.steps):
+            loss += self.loss_fn.loss(logits[k], yb[:, k])
+            dlogits.append(self.loss_fn.grad(logits[k], yb[:, k]))
+        loss /= self.steps
+        for dl in dlogits:
+            dl /= self.steps
+        self._backward(dlogits)
+        return loss
 
     # ------------------------------------------------------------------
     # inference
@@ -374,6 +368,8 @@ class SequenceRegressor:
     (``lstm``/``tcn``).
     """
 
+    _metric_prefix = "nn.regressor"
+
     def __init__(
         self,
         input_dim: int,
@@ -467,40 +463,17 @@ class SequenceRegressor:
         if len(x) == 0:
             raise TrainingError("no training windows")
         opt = optimizer if optimizer is not None else RMSprop(0.002)
-        rng = rng if rng is not None else np.random.default_rng(self.seed)
-        start_epoch = 0
-        if checkpoint is not None:
-            start_epoch = _resume_fit(self, checkpoint, opt, rng)
-        with current_tracer().span(
-            "nn.regressor.fit", windows=len(x), epochs=epochs
-        ) as fit_span:
-            for epoch in range(start_epoch, epochs):
-                tick = time.perf_counter()
-                epoch_loss = 0.0
-                batches = 0
-                for idx in batch_iterator(len(x), batch_size, rng):
-                    self._zero_grad()
-                    pred = self.forward(x[idx])
-                    loss = self.loss_fn.loss(pred, y[idx])
-                    self._backward(self.loss_fn.grad(pred, y[idx]))
-                    grads = self.grads()
-                    clip_gradients(grads, grad_clip)
-                    opt.step(self.params(), grads)
-                    epoch_loss += loss
-                    batches += 1
-                self.history.append(epoch_loss / max(batches, 1))
-                _observe_epoch(
-                    "nn.regressor",
-                    epoch,
-                    self.history[-1],
-                    (time.perf_counter() - tick) * 1e3,
-                )
-                if checkpoint is not None:
-                    _checkpoint_fit(self, checkpoint, opt, rng, epoch + 1)
-            if self.history:
-                fit_span.set(final_loss=self.history[-1])
-        self._fitted = True
-        return self.history
+        return _fit_epochs(
+            self, x, y, epochs=epochs, batch_size=batch_size, optimizer=opt,
+            grad_clip=grad_clip, rng=rng, checkpoint=checkpoint,
+        )
+
+    def _batch_loss(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        """Forward, MSE, backward; returns the loss."""
+        pred = self.forward(xb)
+        loss = self.loss_fn.loss(pred, yb)
+        self._backward(self.loss_fn.grad(pred, yb))
+        return loss
 
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ Two zero-dependency primitives, wired through the pipeline's hot paths:
   thread-safe :class:`Tracer` (JSONL export, deterministic
   ``describe()`` for golden tests); the process default is a no-op
   :class:`NullTracer`, so tracing overhead is strictly opt-in.
-* :mod:`.metrics` — counters, gauges and fixed-bucket histograms with
-  *exact* (order-independent) merge semantics, owned by a
-  :class:`MetricsRegistry` exporting JSON or Prometheus text.
+* :mod:`.metrics` — counters, gauges and fixed-bucket histograms,
+  owned by a :class:`MetricsRegistry` exporting JSON or Prometheus
+  text.
 
 The split between "always on" and "opt-in" instrumentation:
 

@@ -1,22 +1,17 @@
-"""Mergeable in-process metrics: counters, gauges, fixed-bucket histograms.
+"""In-process metrics: counters, gauges, fixed-bucket histograms.
 
-Zero-dependency and exact by construction:
+Zero-dependency; every metric guards its state with its own lock:
 
-* :class:`Counter` and :class:`Gauge` are integers/floats behind a
-  lock;
-* :class:`Histogram` keeps fixed-boundary bucket counts plus an
-  **exact** running sum (a :class:`fractions.Fraction`), so merging is
-  associative and commutative *bit-for-bit* — per-worker histograms
-  recorded under a thread-pool fan-out merge to exactly the
-  sequential result, which the concurrency test asserts;
+* :class:`Counter` and :class:`Gauge` are integers/floats;
+* :class:`Histogram` keeps fixed-boundary bucket counts, a running
+  sum, and the observed min/max;
 * quantiles (p50/p95/p99) are interpolated from the bucket counts,
   clamped to the observed min/max, and monotone in the quantile rank.
 
-A :class:`MetricsRegistry` names and owns metrics, merges whole
-registries (worker → global), and exports JSON or Prometheus text
-exposition format.  A process-wide default registry always exists —
-cheap counters record unconditionally — while *timed* instrumentation
-(per-prediction latency) additionally gates on
+A :class:`MetricsRegistry` names and owns metrics and exports JSON or
+Prometheus text exposition format.  A process-wide default registry
+always exists — cheap counters record unconditionally — while *timed*
+instrumentation (per-prediction latency) additionally gates on
 :func:`repro.obs.obs_enabled` so the disabled overhead stays at ~0%.
 """
 
@@ -26,7 +21,6 @@ import json
 import math
 import re
 import threading
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import ObservabilityError
@@ -74,26 +68,13 @@ class Counter:
         with self._lock:
             return self._value
 
-    def merge(self, other: "Counter") -> "Counter":
-        """Fold another counter in (sum of counts); returns self."""
-        if not isinstance(other, Counter):
-            raise ObservabilityError(
-                f"cannot merge {type(other).__name__} into a Counter"
-            )
-        self.inc(other.value)
-        return self
-
     def to_dict(self) -> dict:
         """JSON-serializable snapshot."""
         return {"type": self.kind, "value": self.value}
 
 
 class Gauge:
-    """A last-write-wins scalar (thread-safe), with an update count.
-
-    Merging keeps the *other* gauge's value when it has been set at
-    all (merge order is the precedence order) and sums update counts.
-    """
+    """A last-write-wins scalar (thread-safe), with an update count."""
 
     kind = "gauge"
 
@@ -120,19 +101,6 @@ class Gauge:
         with self._lock:
             return self._updates
 
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Fold another gauge in (its value wins if ever set)."""
-        if not isinstance(other, Gauge):
-            raise ObservabilityError(
-                f"cannot merge {type(other).__name__} into a Gauge"
-            )
-        other_value, other_updates = other.value, other.updates
-        with self._lock:
-            if other_updates:
-                self._value = other_value
-            self._updates += other_updates
-        return self
-
     def to_dict(self) -> dict:
         """JSON-serializable snapshot."""
         with self._lock:
@@ -144,14 +112,10 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary histogram with exact, order-independent merging.
+    """Fixed-boundary histogram (thread-safe).
 
     ``boundaries`` are strictly increasing bucket *upper* bounds; one
     implicit overflow bucket catches everything above the last bound.
-    The running sum is kept as an exact :class:`~fractions.Fraction`,
-    so ``a.merge(b)`` equals ``b.merge(a)`` bit-for-bit and a random
-    split of an observation stream merges back to the sequential
-    histogram exactly (the property suite asserts all of this).
     """
 
     kind = "histogram"
@@ -170,7 +134,7 @@ class Histogram:
         self._boundaries = bounds
         self._counts = [0] * (len(bounds) + 1)
         self._count = 0
-        self._sum = Fraction(0)
+        self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
 
@@ -191,7 +155,7 @@ class Histogram:
         with self._lock:
             self._counts[index] += 1
             self._count += 1
-            self._sum += Fraction(value)
+            self._sum += value
             if self._min is None or value < self._min:
                 self._min = value
             if self._max is None or value > self._max:
@@ -212,13 +176,7 @@ class Histogram:
 
     @property
     def sum(self) -> float:
-        """Sum of all observations (exact fraction, rendered as float)."""
-        with self._lock:
-            return float(self._sum)
-
-    @property
-    def sum_exact(self) -> Fraction:
-        """The exact (Fraction) sum — the mergeable representation."""
+        """Sum of all observations."""
         with self._lock:
             return self._sum
 
@@ -276,38 +234,6 @@ class Histogram:
             "p99": self.quantile(0.99),
         }
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram in (exact; boundaries must match)."""
-        if not isinstance(other, Histogram):
-            raise ObservabilityError(
-                f"cannot merge {type(other).__name__} into a Histogram"
-            )
-        if other._boundaries != self._boundaries:
-            raise ObservabilityError(
-                "cannot merge histograms with different boundaries: "
-                f"{self._boundaries} vs {other._boundaries}"
-            )
-        with other._lock:
-            counts = list(other._counts)
-            count = other._count
-            total = other._sum
-            omin, omax = other._min, other._max
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._count += count
-            self._sum += total
-            if omin is not None and (self._min is None or omin < self._min):
-                self._min = omin
-            if omax is not None and (self._max is None or omax > self._max):
-                self._max = omax
-        return self
-
-    def copy(self) -> "Histogram":
-        """An independent histogram with identical state."""
-        return Histogram(self._boundaries).merge(self)
-
     def to_dict(self) -> dict:
         """JSON-serializable snapshot (buckets + summary quantiles)."""
         out: dict = {
@@ -333,7 +259,7 @@ def _prom_float(value: float) -> str:
 
 
 class MetricsRegistry:
-    """Named metrics with get-or-create access, merging and export.
+    """Named metrics with get-or-create access and export.
 
     ``active=True`` marks the registry as explicitly collecting, which
     (together with an enabled tracer) turns on *timed* instrumentation
@@ -373,8 +299,8 @@ class MetricsRegistry:
         """Get or create the histogram *name*.
 
         ``boundaries`` applies on creation; asking for an existing
-        histogram with *different* boundaries is an error (merging
-        would silently misbucket).
+        histogram with *different* boundaries is an error (one name
+        would otherwise mean two bucketings).
         """
         bounds = (
             tuple(float(b) for b in boundaries)
@@ -406,30 +332,6 @@ class MetricsRegistry:
         """Drop every registered metric."""
         with self._lock:
             self._metrics.clear()
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in, metric by metric; returns self.
-
-        Same-named metrics must have the same kind; counters and
-        histograms merge exactly, gauges last-write-wins (the merged-in
-        registry's value takes precedence when it was ever set).
-        """
-        if not isinstance(other, MetricsRegistry):
-            raise ObservabilityError(
-                f"cannot merge {type(other).__name__} into a MetricsRegistry"
-            )
-        with other._lock:
-            items = sorted(other._metrics.items())
-        for name, metric in items:
-            if isinstance(metric, Histogram):
-                mine = self.histogram(name, metric.boundaries)
-            elif isinstance(metric, Gauge):
-                mine = self.gauge(name)
-            else:
-                mine = self.counter(name)
-            mine.merge(metric)
-        return self
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

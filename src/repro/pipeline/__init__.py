@@ -1,8 +1,8 @@
 """Staged Desh training pipeline: typed artifacts + fingerprint caching.
 
-The package decomposes the monolithic ``Desh.fit`` into a DAG of
-cacheable stages (``parse`` → ``embeddings``/``chains`` → ``phase1`` /
-``phase2`` → ``classifier``/``phase3``), each keyed by a
+The package runs ``Desh.fit`` as a DAG of cacheable stages
+(``parse`` → ``embeddings``/``chains`` → ``phase1`` / ``phase2`` →
+``classifier``/``phase3``), each keyed by a
 content-addressed fingerprint over its configuration and upstream
 fingerprints.  Re-running with an unchanged prefix serves those stages
 from the on-disk :class:`ArtifactStore`; editing one stage's config

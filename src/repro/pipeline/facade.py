@@ -2,9 +2,8 @@
 
 :class:`DeshPipeline` builds the stage DAG for one configuration, runs
 it (optionally against an on-disk :class:`ArtifactStore`), and
-assembles the resulting artifacts into the exact :class:`DeshModel` the
-monolithic ``Desh.fit`` used to produce.  ``Desh.fit`` itself is now a
-thin facade over this class.
+assembles the resulting artifacts into a :class:`DeshModel`.
+``Desh.fit`` is a thin facade over this class.
 
 :func:`cached_transform` is the inference-side counterpart: it encodes
 *test* records with a fitted parser, caching the encoded event stream
@@ -44,7 +43,7 @@ class DeshPipeline:
         Whether the ``phase1`` stage trains the phrase LSTM.
     cache_dir:
         Root of the on-disk artifact store; ``None`` runs fully
-        in-memory (the pre-pipeline behavior).
+        in-memory.
     checkpoint_dir:
         Optional crash-checkpoint root for the LSTM fits (same layout
         as ``Desh.fit(checkpoint_dir=...)``: ``<dir>/phase1``,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..simlog.record import LogRecord
@@ -22,7 +21,6 @@ __all__ = [
     "canonical_json",
     "fingerprint_payload",
     "fingerprint_bytes",
-    "fingerprint_file",
     "fingerprint_records",
     "combine",
 ]
@@ -43,18 +41,6 @@ def fingerprint_bytes(data: bytes) -> str:
 def fingerprint_payload(payload: object) -> str:
     """SHA-256 over the canonical JSON encoding of *payload*."""
     return fingerprint_bytes(canonical_json(payload).encode())
-
-
-def fingerprint_file(path: str | Path, *, chunk_size: int = 1 << 20) -> str:
-    """SHA-256 over a file's raw bytes, streamed in chunks."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(chunk_size)
-            if not chunk:
-                break
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def fingerprint_records(records: Iterable[LogRecord]) -> str:

@@ -1,10 +1,10 @@
 """Concrete Desh stages: parse -> embeddings -> phase1 -> chains -> phase2
 -> (classifier, phase3).
 
-Each stage wraps exactly the code path :class:`~repro.core.desh.Desh`
-used monolithically — the trainers are reused, seeds included — so a
-pipeline run produces bit-identical artifacts to the pre-pipeline
-``Desh.fit``, and any prefix of the DAG can be served from cache.
+Each stage calls one of the core trainers with seeds taken from the
+config alone, so cold, warm and partially cached runs produce
+bit-identical artifacts, and any prefix of the DAG can be served from
+cache.
 
 Dependency edges double as invalidation rules:
 
@@ -27,7 +27,7 @@ from typing import Optional
 from ..config import DeshConfig, Phase3Config
 from ..core.chains import ChainExtractor, FailureChain
 from ..core.classify import FailureClassifier
-from ..core.phase1 import Phase1Trainer
+from ..core.phase1 import Phase1Trainer, node_sequences
 from ..core.phase2 import Phase2Result, Phase2Trainer
 from ..errors import TrainingError
 from ..nn.embeddings import SkipGramEmbedder
@@ -51,7 +51,7 @@ __all__ = [
     "build_desh_stages",
 ]
 
-#: Message kept verbatim from the monolithic ``Desh.fit``.
+#: Raised by the ``chains`` stage when the training data holds no failure.
 _NO_CHAINS_MSG = (
     "phase 1 extracted no failure chains from the training data; "
     "the training window may contain no failures"
@@ -154,8 +154,9 @@ class EmbeddingStage(Stage):
     def run(self, ctx: StageContext) -> SkipGramEmbedder:
         """Train the skip-gram embedder (same seed as ``Desh.fit``)."""
         art: ParseArtifact = ctx.value("parse")
-        trainer = _trainer(ctx, art.parser)
-        return trainer.train_embedder(trainer.node_sequences(art.parsed))
+        return _trainer(ctx, art.parser).train_embedder(
+            node_sequences(art.parsed)
+        )
 
     def save(self, value: SkipGramEmbedder, directory: Path) -> None:
         """Persist the embedding matrices."""
@@ -195,7 +196,7 @@ class Phase1Stage(Stage):
         art: ParseArtifact = ctx.value("parse")
         trainer = _trainer(ctx, art.parser)
         classifier, accuracy, losses = trainer.train_sequence_model(
-            trainer.node_sequences(art.parsed),
+            node_sequences(art.parsed),
             ctx.value("embeddings"),
             checkpoint=ctx.checkpoint_for(self.name),
         )
@@ -248,8 +249,7 @@ class ChainStage(Stage):
     def run(self, ctx: StageContext) -> list[FailureChain]:
         """Extract failure chains; fail fast when there are none."""
         art: ParseArtifact = ctx.value("parse")
-        trainer = _trainer(ctx, art.parser)
-        chains = self.extractor.extract(trainer.node_sequences(art.parsed))
+        chains = self.extractor.extract(node_sequences(art.parsed))
         if not chains:
             raise TrainingError(_NO_CHAINS_MSG)
         return chains

@@ -19,7 +19,7 @@ preemption.  :class:`CheckpointManager` makes ``fit`` restartable with
 
 The format is a single ``.npz`` per checkpoint step plus a JSON
 manifest; :func:`pack_fit_state` / :func:`restore_fit_state` define the
-array layout shared by the model- and trainer-level resume paths.
+array layout of the models' fit-loop checkpoints.
 """
 
 from __future__ import annotations
@@ -252,12 +252,12 @@ class CheckpointManager:
 
 
 # ----------------------------------------------------------------------
-# fit-state packing shared by nn.model and nn.trainer resume paths
+# fit-state packing for the nn.model fit loop
 # ----------------------------------------------------------------------
 def pack_fit_state(
     params: Mapping[str, np.ndarray],
     optimizer,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     *,
     epoch: int,
     extra_meta: Mapping[str, object] | None = None,
@@ -270,9 +270,11 @@ def pack_fit_state(
     arrays = {_PARAM_PREFIX + k: v for k, v in params.items()}
     opt_arrays, opt_meta = optimizer.state_dict()
     arrays.update({_OPT_PREFIX + k: v for k, v in opt_arrays.items()})
-    meta: dict[str, object] = {"epoch": int(epoch), "optimizer": opt_meta}
-    if rng is not None:
-        meta["rng_state"] = rng.bit_generator.state
+    meta: dict[str, object] = {
+        "epoch": int(epoch),
+        "optimizer": opt_meta,
+        "rng_state": rng.bit_generator.state,
+    }
     if extra_meta:
         meta.update(extra_meta)
     return arrays, meta
@@ -283,16 +285,19 @@ def restore_fit_state(
     meta: Mapping[str, object],
     params: Mapping[str, np.ndarray],
     optimizer,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> int:
     """Inverse of :func:`pack_fit_state`; returns the completed epoch.
 
     Model parameters are restored in place (the arrays in *params* are
     live views into the layers), the optimizer's slot state and
-    hyper-state are reloaded, and — when present — the generator is
-    rewound to the exact saved bit-generator state so subsequent batch
-    shuffles replay identically.
+    hyper-state are reloaded, and the generator is rewound to the exact
+    saved bit-generator state so subsequent batch shuffles replay
+    identically.
     """
+    state = meta.get("rng_state")
+    if state is None:
+        raise CheckpointError("checkpoint missing the generator state")
     for key, arr in params.items():
         stored = arrays.get(_PARAM_PREFIX + key)
         if stored is None:
@@ -309,7 +314,5 @@ def restore_fit_state(
         if k.startswith(_OPT_PREFIX)
     }
     optimizer.load_state_dict(opt_arrays, dict(meta.get("optimizer", {})))
-    state = meta.get("rng_state")
-    if rng is not None and state is not None:
-        rng.bit_generator.state = state
+    rng.bit_generator.state = state
     return int(meta["epoch"])

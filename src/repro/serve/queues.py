@@ -255,18 +255,6 @@ class HashDeduper:
         self._reserved.discard(digest)
         self.record(digest)
 
-    def seen(self, line: str) -> bool:
-        """Record *line*; True when it duplicates one in the window."""
-        if self.window == 0:
-            return False
-        digest = self.digest(line)
-        duplicate = self.contains(digest)
-        self.record(digest)
-        if duplicate:
-            self.duplicates += 1
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # checkpointable state
     # ------------------------------------------------------------------

@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.config import Phase1Config, Phase2Config, Phase3Config, EmbeddingConfig
+from repro.config import (
+    DeshConfig,
+    EmbeddingConfig,
+    Phase1Config,
+    Phase2Config,
+    Phase3Config,
+)
 from repro.core.chains import ChainExtractor, Episode, FailureChain
 from repro.core.deltas import LeadTimeScaler
-from repro.core.phase1 import Phase1Trainer
+from repro.core.phase1 import Phase1Trainer, node_sequences
 from repro.core.phase2 import Phase2Result, Phase2Trainer, pad_vectors
 from repro.core.phase3 import Phase3Predictor
 from repro.errors import TrainingError
 from repro.events import Label, ParsedEvent
 from repro.parsing import LogParser
+from repro.parsing.pipeline import ParseResult
+from repro.pipeline.stage import StageContext
+from repro.pipeline.stages import ChainStage, ParseArtifact, Phase1Stage
 from repro.topology import CrayNodeId
 
 NODE = CrayNodeId(0, 0, 0, 0, 0)
@@ -212,47 +221,59 @@ class TestPhase3Predictor:
 
 
 class TestPhase1Trainer:
+    """Phase 1 as the pipeline stages run it: the two fits and the chains."""
+
+    CONFIG = DeshConfig(
+        embedding=EmbeddingConfig(dim=8, epochs=1),
+        phase1=Phase1Config(hidden_size=16, epochs=1, batch_size=128),
+        seed=0,
+    )
+
     @pytest.fixture(scope="class")
     def parsed_small(self, small_log):
         parser = LogParser()
         parsed = parser.fit_transform(list(small_log.records))
         return parser, parsed
 
-    def test_trains_and_extracts_chains(self, parsed_small):
+    @pytest.fixture(scope="class")
+    def chains(self, parsed_small):
+        ctx = StageContext(
+            config=self.CONFIG, inputs={"parse": ParseArtifact(*parsed_small)}
+        )
+        return ChainStage(self.CONFIG).run(ctx)
+
+    def test_trains_and_extracts_chains(self, parsed_small, chains):
         parser, parsed = parsed_small
         trainer = Phase1Trainer(
             parser,
-            config=Phase1Config(hidden_size=16, epochs=1, batch_size=128),
-            embedding_config=EmbeddingConfig(dim=8, epochs=1),
+            config=self.CONFIG.phase1,
+            embedding_config=self.CONFIG.embedding,
             seed=0,
         )
-        result = trainer.train(parsed, train_classifier=True)
-        assert result.chains, "must extract failure chains"
-        assert result.embedder.vectors.shape[0] >= parser.num_phrases
-        assert result.classifier is not None
-        assert result.losses
-
-    def test_skip_classifier(self, parsed_small):
-        parser, parsed = parsed_small
-        trainer = Phase1Trainer(
-            parser, embedding_config=EmbeddingConfig(dim=8, epochs=1), seed=0
+        sequences = node_sequences(parsed)
+        embedder = trainer.train_embedder(sequences)
+        classifier, _, losses = trainer.train_sequence_model(
+            sequences, embedder
         )
-        result = trainer.train(parsed, train_classifier=False)
-        assert result.classifier is None
-        assert result.chains
+        assert chains, "must extract failure chains"
+        assert embedder.vectors.shape == (parser.num_phrases, 8)
+        assert classifier.vocab_size == parser.num_phrases
+        assert classifier.embed_dim == 8
+        assert classifier.hidden_size == 16
+        assert len(losses) == 1
 
-    def test_chains_have_no_safe_events(self, parsed_small):
-        parser, parsed = parsed_small
-        trainer = Phase1Trainer(
-            parser, embedding_config=EmbeddingConfig(dim=8, epochs=1), seed=0
+    def test_skip_classifier(self):
+        artifact = Phase1Stage(self.CONFIG, enabled=False).run(
+            StageContext(config=self.CONFIG)
         )
-        result = trainer.train(parsed, train_classifier=False)
-        for chain in result.chains:
+        assert artifact.classifier is None
+        assert artifact.losses == []
+
+    def test_chains_have_no_safe_events(self, chains):
+        assert chains
+        for chain in chains:
             assert all(e.label != Label.SAFE for e in chain.events)
 
-    def test_empty_input_raises(self, parsed_small):
-        parser, _ = parsed_small
-        from repro.parsing.pipeline import ParseResult
-
+    def test_empty_input_raises(self):
         with pytest.raises(TrainingError):
-            Phase1Trainer(parser).train(ParseResult(events=[]))
+            node_sequences(ParseResult(events=[]))

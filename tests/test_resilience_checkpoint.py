@@ -7,8 +7,6 @@ import pytest
 
 from repro.errors import CheckpointError, ConfigError
 from repro.nn import Adam, RMSprop, SequenceRegressor
-from repro.nn.losses import MeanSquaredError
-from repro.nn.trainer import EarlyStoppingConfig, fit_with_validation
 from repro.resilience import CheckpointManager, pack_fit_state, restore_fit_state
 
 
@@ -168,18 +166,37 @@ class TestFitStatePacking:
 
     def test_missing_param_raises(self):
         model, opt = self._model_and_opt()
-        arrays, meta = pack_fit_state(model.params(), opt, None, epoch=1)
+        arrays, meta = pack_fit_state(
+            model.params(), opt, np.random.default_rng(0), epoch=1
+        )
         del arrays["param::" + next(iter(model.params()))]
         with pytest.raises(CheckpointError, match="missing parameter"):
-            restore_fit_state(arrays, meta, model.params(), opt, None)
+            restore_fit_state(
+                arrays, meta, model.params(), opt, np.random.default_rng(0)
+            )
 
     def test_shape_mismatch_raises(self):
         model, opt = self._model_and_opt()
-        arrays, meta = pack_fit_state(model.params(), opt, None, epoch=1)
+        arrays, meta = pack_fit_state(
+            model.params(), opt, np.random.default_rng(0), epoch=1
+        )
         key = "param::" + next(iter(model.params()))
         arrays[key] = np.zeros((1, 1))
         with pytest.raises(CheckpointError, match="shape mismatch"):
-            restore_fit_state(arrays, meta, model.params(), opt, None)
+            restore_fit_state(
+                arrays, meta, model.params(), opt, np.random.default_rng(0)
+            )
+
+    def test_missing_generator_state_raises(self):
+        model, opt = self._model_and_opt()
+        arrays, meta = pack_fit_state(
+            model.params(), opt, np.random.default_rng(0), epoch=1
+        )
+        del meta["rng_state"]
+        with pytest.raises(CheckpointError, match="generator state"):
+            restore_fit_state(
+                arrays, meta, model.params(), opt, np.random.default_rng(0)
+            )
 
 
 class TestBitIdenticalResume:
@@ -211,102 +228,6 @@ class TestBitIdenticalResume:
         for key, arr in straight.params().items():
             np.testing.assert_array_equal(arr, resumed.params()[key])
         assert resumed.history == straight.history
-
-    def test_trainer_resumes_bit_identically(self, tmp_path):
-        x, y = self._data()
-        mse = MeanSquaredError()
-
-        def val_loss(model, xv, yv):
-            return float(mse.loss(model.predict(xv), yv))
-
-        cfg = EarlyStoppingConfig(patience=50, max_epochs=6, val_fraction=0.2)
-
-        straight, opt = self._fresh()
-        full = fit_with_validation(
-            straight, x, y, optimizer=opt, val_loss_fn=val_loss, config=cfg, seed=4
-        )
-
-        class _Killed(RuntimeError):
-            pass
-
-        calls = {"n": 0}
-
-        def killing_val_loss(model, xv, yv):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise _Killed("simulated crash mid-run")
-            return val_loss(model, xv, yv)
-
-        manager = CheckpointManager(tmp_path / "ck")
-        victim, opt1 = self._fresh()
-        with pytest.raises(_Killed):
-            fit_with_validation(
-                victim,
-                x,
-                y,
-                optimizer=opt1,
-                val_loss_fn=killing_val_loss,
-                config=cfg,
-                seed=4,
-                checkpoint=manager,
-            )
-        assert manager.steps()  # at least one epoch checkpointed
-
-        resumed, opt2 = self._fresh()
-        out = fit_with_validation(
-            resumed,
-            x,
-            y,
-            optimizer=opt2,
-            val_loss_fn=val_loss,
-            config=cfg,
-            seed=4,
-            checkpoint=manager,
-        )
-        for key, arr in straight.params().items():
-            np.testing.assert_array_equal(arr, resumed.params()[key])
-        assert out.train_losses == full.train_losses
-        assert out.val_losses == full.val_losses
-        assert out.best_epoch == full.best_epoch
-
-    def test_resumed_early_stop_returns_immediately(self, tmp_path):
-        x, y = self._data()
-        mse = MeanSquaredError()
-
-        def val_loss(model, xv, yv):
-            return float(mse.loss(model.predict(xv), yv))
-
-        # Zero-tolerance early stopping trips quickly.
-        cfg = EarlyStoppingConfig(
-            patience=1, min_delta=10.0, max_epochs=50, val_fraction=0.2
-        )
-        manager = CheckpointManager(tmp_path / "ck")
-        model, opt = self._fresh()
-        first = fit_with_validation(
-            model,
-            x,
-            y,
-            optimizer=opt,
-            val_loss_fn=val_loss,
-            config=cfg,
-            seed=4,
-            checkpoint=manager,
-        )
-        assert first.stopped_early
-
-        model2, opt2 = self._fresh()
-        again = fit_with_validation(
-            model2,
-            x,
-            y,
-            optimizer=opt2,
-            val_loss_fn=val_loss,
-            config=cfg,
-            seed=4,
-            checkpoint=manager,
-        )
-        assert again.stopped_early
-        assert again.val_losses == first.val_losses
 
 
 class TestDeshCheckpointDir:

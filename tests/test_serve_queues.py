@@ -169,25 +169,42 @@ class TestShardQueue:
             ShardQueue(0)
 
 
+def _admit(dedup: HashDeduper, line: str) -> bool:
+    """Admit *line* the way ``PredictionService.ingest_lines`` does.
+
+    Reserve the digest, then commit it as an admitted batch would;
+    returns ``False`` (and counts a duplicate) when the window or an
+    in-flight reservation already holds the line.
+    """
+    digest = dedup.digest(line)
+    if not dedup.reserve(digest):
+        dedup.duplicates += 1
+        return False
+    dedup.commit_reserved(digest)
+    return True
+
+
 class TestHashDeduper:
     def test_detects_duplicates_in_window(self):
         dedup = HashDeduper(16)
-        assert not dedup.seen("line one")
-        assert not dedup.seen("line two")
-        assert dedup.seen("line one")
+        assert _admit(dedup, "line one")
+        assert _admit(dedup, "line two")
+        assert not _admit(dedup, "line one")
         assert dedup.duplicates == 1
 
     def test_window_eviction_forgets_old_lines(self):
         dedup = HashDeduper(2)
-        assert not dedup.seen("a")
-        assert not dedup.seen("b")
-        assert not dedup.seen("c")  # evicts "a"
-        assert not dedup.seen("a")  # forgotten, admitted again
+        assert _admit(dedup, "a")
+        assert _admit(dedup, "b")
+        assert _admit(dedup, "c")  # evicts "a"
+        assert _admit(dedup, "a")  # forgotten, admitted again
+        assert not _admit(dedup, "c")  # still in the window
 
     def test_zero_window_disables_dedup(self):
         dedup = HashDeduper(0)
-        assert not dedup.seen("same")
-        assert not dedup.seen("same")
+        assert _admit(dedup, "same")
+        assert _admit(dedup, "same")
+        assert not dedup.contains(dedup.digest("same"))
         assert dedup.duplicates == 0
 
     def test_contains_does_not_record(self):
@@ -246,13 +263,14 @@ class TestHashDeduper:
     def test_state_dict_round_trip(self):
         dedup = HashDeduper(4)
         for line in ["a", "b", "a", "c"]:
-            dedup.seen(line)
+            _admit(dedup, line)
         state = dedup.state_dict()
         restored = HashDeduper(4)
         restored.load_state_dict(state)
-        assert restored.duplicates == dedup.duplicates
-        assert restored.seen("a") == dedup.seen("a")
-        assert restored.seen("zz") == dedup.seen("zz")
+        assert restored.duplicates == dedup.duplicates == 1
+        assert _admit(restored, "a") == _admit(dedup, "a") is False
+        assert _admit(restored, "zz") == _admit(dedup, "zz") is True
+        assert restored.state_dict() == dedup.state_dict()
 
     def test_load_rejects_bad_version(self):
         with pytest.raises(ConfigError):
