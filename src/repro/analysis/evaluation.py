@@ -86,12 +86,6 @@ class EvaluationResult:
         """Flagged episodes that cover a real failure."""
         return [s for s in self.scored if s.kind is EpisodeKind.CHAIN and s.flagged]
 
-    def false_positives(self) -> list[ScoredEpisode]:
-        """Flagged episodes with no underlying failure."""
-        return [
-            s for s in self.scored if s.kind is not EpisodeKind.CHAIN and s.flagged
-        ]
-
     def lead_times(self) -> np.ndarray:
         """Predicted lead times (seconds) of all true positives."""
         return np.array([s.lead_seconds for s in self.true_positives()])

@@ -43,8 +43,8 @@ Commands
 ``serve``
     Run the fault-tolerant prediction service over a trained model
     directory: sharded streaming monitors behind bounded queues with
-    backpressure/load-shedding, supervised workers, per-shard circuit
-    breakers, SSE alert streaming and a Prometheus endpoint.  Graceful
+    backpressure/load-shedding, supervised workers whose crashed items
+    replay exactly, SSE alert streaming and a Prometheus endpoint.  Graceful
     shutdown drains the queues and (with ``--checkpoint-dir``) writes
     an atomic checkpoint that a restart resumes bit-identically.
 ``soak``

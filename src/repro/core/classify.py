@@ -147,16 +147,3 @@ class FailureClassifier:
             cls: float(vec @ profile) for cls, profile in self._profiles.items()
         }
         return max(scores, key=lambda c: scores[c])
-
-    def class_scores(
-        self, episode: Episode | FailureChain
-    ) -> dict[FailureClass, float]:
-        """Cosine score against every class profile."""
-        if self._profiles is None:
-            raise NotFittedError("FailureClassifier.fit has not run")
-        ids = episode.phrase_ids()
-        vec = np.bincount(ids, minlength=self.vocab_size).astype(np.float64)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return {cls: float(vec @ p) for cls, p in self._profiles.items()}

@@ -105,15 +105,6 @@ class LeadTimeScaler:
             self.max_lead_seconds
         )
 
-    def decode_phrase_id(self, normalized_pid: float | np.ndarray) -> np.ndarray:
-        """Invert the phrase normalization (rounded to the nearest id)."""
-        raw = (
-            np.asarray(normalized_pid, dtype=np.float64)
-            * self.vocab_size
-            / self.id_scale
-        )
-        return np.clip(np.rint(raw), 0, self.vocab_size - 1).astype(np.int64)
-
     # ------------------------------------------------------------------
     def mse_paper_units(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-sample MSE in the paper's vector units.

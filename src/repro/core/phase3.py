@@ -102,17 +102,11 @@ class EpisodeVerdict:
 
 @dataclass(frozen=True)
 class PartialScore:
-    """Outcome of scoring one growing episode on the batched path.
-
-    ``error`` carries a per-unit :class:`~repro.errors.PredictionError`
-    when a scorer could not score that unit; callers degrade that unit
-    alone (the other fields are then defaults).
-    """
+    """Outcome of scoring one growing episode on the batched path."""
 
     flagged: bool
     mse: float
     lead_seconds: float
-    error: Optional[PredictionError] = None
 
 
 @dataclass(frozen=True)
@@ -123,11 +117,6 @@ class FailurePrediction:
     decision_time: float
     lead_seconds: float
     mse: float
-
-    @property
-    def predicted_failure_time(self) -> float:
-        """Absolute time at which the node is expected to fail."""
-        return self.decision_time + self.lead_seconds
 
 
 class Phase3Predictor:

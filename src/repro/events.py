@@ -98,12 +98,6 @@ class EventSequence:
             self._times = np.array([e.timestamp for e in self.events], dtype=np.float64)
         return self._times
 
-    def without_safe(self) -> "EventSequence":
-        """Copy with Safe-labeled events removed (Section 3.1, post-labeling)."""
-        return EventSequence(
-            self.node, [e for e in self.events if e.label != Label.SAFE]
-        )
-
     def terminals(self) -> list[int]:
         """Indices of terminal events within this sequence."""
         return [i for i, e in enumerate(self.events) if e.terminal]

@@ -16,7 +16,6 @@ __all__ = [
     "tanh",
     "tanh_grad",
     "relu",
-    "relu_grad",
     "softmax",
     "log_softmax",
 ]
@@ -90,11 +89,6 @@ def tanh_grad(y: np.ndarray) -> np.ndarray:
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit."""
     return np.maximum(x, 0.0)
-
-
-def relu_grad(y: np.ndarray) -> np.ndarray:
-    """d relu / dx expressed in the output ``y = relu(x)``."""
-    return (y > 0).astype(y.dtype)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

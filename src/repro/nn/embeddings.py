@@ -231,13 +231,3 @@ class SkipGramEmbedder:
         if denom == 0.0:
             return 0.0
         return float(va @ vb / denom)
-
-    def most_similar(self, phrase_id: int, top: int = 5) -> list[tuple[int, float]]:
-        """The *top* nearest phrases by centered cosine (excluding self)."""
-        v = self._centered()
-        norms = np.linalg.norm(v, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (v @ v[phrase_id]) / (norms * max(norms[phrase_id], 1e-12))
-        order = np.argsort(-sims)
-        out = [(int(i), float(sims[i])) for i in order if i != phrase_id]
-        return out[:top]

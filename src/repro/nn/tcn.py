@@ -273,11 +273,6 @@ class TCNBackbone:
             for i in range(num_layers)
         ]
 
-    @property
-    def receptive_field(self) -> int:
-        """Timesteps the last output position can see."""
-        return 1 + 2 * (self.kernel_size - 1) * (2**self.num_layers - 1)
-
     @tensor_contract("(B, T, input_size):float -> (B, T, hidden_size):float")
     def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
         """Run all blocks; ``cache`` keeps activations for :meth:`backward`."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..errors import NotFittedError
-from ..events import EventSequence, Label, ParsedEvent, group_by_node
+from ..events import EventSequence, ParsedEvent, group_by_node
 from ..obs import current_tracer, metrics_registry
 from ..simlog.record import LogRecord
 from ..topology.cray import CrayNodeId
@@ -41,10 +41,6 @@ class ParseResult:
     def by_node(self) -> dict[Optional[CrayNodeId], EventSequence]:
         """Per-node event sequences (phase-3 batching unit)."""
         return group_by_node(self.events)
-
-    def node_events(self, node: CrayNodeId) -> EventSequence:
-        """The events of one specific node, as a sequence."""
-        return EventSequence(node, [e for e in self.events if e.node == node])
 
     def __len__(self) -> int:
         return len(self.events)
@@ -206,16 +202,6 @@ class LogParser:
             raise NotFittedError(f"no label for phrase id {phrase_id}")
         return self._labels[phrase_id]
 
-    def terminal_ids(self) -> list[int]:
-        """Phrase ids of terminal (node-down) messages."""
-        return [i for i, t in enumerate(self._terminal) if t]
-
     def labels_by_id(self) -> list[str]:
         """All phrase labels, indexed by phrase id."""
         return list(self._labels)
-
-    def phrases_with_label(self, label: str) -> list[int]:
-        """Phrase ids carrying the given label."""
-        if label not in Label.ALL:
-            raise NotFittedError(f"invalid label {label!r}")
-        return [i for i, l in enumerate(self._labels) if l == label]

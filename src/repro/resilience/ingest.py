@@ -9,7 +9,8 @@ measured* degradation instead of crashes:
   buffer — the pipeline only raises :class:`~repro.errors.IngestError`
   when the bad-line ratio exceeds a configurable error budget (a feed
   that is mostly garbage is an operational incident, not noise);
-* exact duplicates within a sliding window are **deduplicated**
+* exact duplicates within a sliding window of one
+  :meth:`~HardenedIngestor.ingest_lines` stream are **deduplicated**
   (syslog relays retransmit);
 * mildly out-of-order lines are **re-sorted** by a bounded min-heap on
   the record timestamp, restoring chronological order as long as the
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
 from ..errors import ConfigError, IngestError, ParseError
@@ -56,8 +56,8 @@ class IngestConfig:
         Maximum number of quarantined lines kept for inspection; beyond
         the cap only the counter advances (lines are still dropped).
     dedup_window:
-        Number of recent lines checked for exact duplicates (0 disables
-        deduplication).
+        Number of recent lines :meth:`HardenedIngestor.ingest_lines`
+        checks for exact duplicates (0 disables deduplication).
     reorder_window:
         Size of the timestamp re-sorting heap (0 disables re-sorting).
         Records displaced further than the window stay out of order —
@@ -140,27 +140,22 @@ class HardenedIngestor:
         self.config = config if config is not None else IngestConfig()
         self.stats = IngestStats()
         self.dead_letters: list[DeadLetter] = []
-        self._recent: deque[str] = deque(maxlen=max(1, self.config.dedup_window))
-        self._recent_set: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # single-line path (used by the streaming monitor)
     # ------------------------------------------------------------------
     def accept_line(self, line: str) -> Optional[LogRecord]:
-        """Parse one line; quarantine/dedup without re-sorting.
+        """Parse one line, quarantining it when it does not parse.
 
-        Returns the parsed record, or ``None`` when the line was blank,
-        a duplicate, or quarantined.  Raises
-        :class:`~repro.errors.IngestError` once the error budget is
-        exhausted.
+        Returns the parsed record, or ``None`` when the line was blank
+        or quarantined.  Raises :class:`~repro.errors.IngestError` once
+        the error budget is exhausted.  There is no dedup here: the
+        serving layer dedups before routing, and :meth:`ingest_lines`
+        dedups its own stream.
         """
         self.stats.lines_seen += 1
         if not line.strip():
             self.stats.blank_skipped += 1
-            return None
-        if self.config.dedup_window > 0 and self._is_duplicate(line):
-            self.stats.duplicates_dropped += 1
-            metrics_registry().counter("ingest.duplicates").inc()
             return None
         try:
             record = parse_line(line)
@@ -169,19 +164,6 @@ class HardenedIngestor:
             return None
         self.stats.records_out += 1
         return record
-
-    def _is_duplicate(self, line: str) -> bool:
-        count = self._recent_set.get(line, 0)
-        if len(self._recent) == self._recent.maxlen:
-            oldest = self._recent[0]
-            remaining = self._recent_set.get(oldest, 0) - 1
-            if remaining <= 0:
-                self._recent_set.pop(oldest, None)
-            else:
-                self._recent_set[oldest] = remaining
-        self._recent.append(line)
-        self._recent_set[line] = count + 1
-        return count > 0
 
     def _quarantine(self, line: str, reason: str) -> None:
         self.stats.quarantined += 1
@@ -211,25 +193,21 @@ class HardenedIngestor:
     def ingest_lines(self, lines: Iterable[str]) -> Iterator[LogRecord]:
         """Yield clean records for *lines*, re-sorted within the window.
 
-        The re-sorting heap holds up to ``reorder_window`` records; the
-        smallest timestamp is released whenever the heap is full, so
-        records displaced by at most the window come out in true
-        chronological order.
+        Exact duplicates of any of the last ``dedup_window`` non-blank
+        lines of this stream are dropped.  The re-sorting heap holds up
+        to ``reorder_window`` records; the smallest timestamp is
+        released whenever the heap is full, so records displaced by at
+        most the window come out in true chronological order.
         """
         window = self.config.reorder_window
+        records = self._deduplicated(lines)
         if window <= 1:
-            for line in lines:
-                record = self.accept_line(line)
-                if record is not None:
-                    yield record
+            yield from records
             return
         heap: list[tuple[float, int, LogRecord]] = []
         arrival = 0
         emitted = 0
-        for line in lines:
-            record = self.accept_line(line)
-            if record is None:
-                continue
+        for record in records:
             heapq.heappush(heap, (record.timestamp, arrival, record))
             arrival += 1
             if len(heap) >= window:
@@ -239,6 +217,31 @@ class HardenedIngestor:
             yield self._pop_in_order(heap, emitted)
             emitted += 1
 
+    def _deduplicated(self, lines: Iterable[str]) -> Iterator[LogRecord]:
+        """:meth:`accept_line` over *lines*, dropping recent duplicates."""
+        window = self.config.dedup_window
+        recent: deque[str] = deque()
+        counts: dict[str, int] = {}
+        for line in lines:
+            if window and line.strip():
+                seen = counts.get(line, 0)
+                if len(recent) == window:
+                    oldest = recent.popleft()
+                    if counts[oldest] == 1:
+                        del counts[oldest]
+                    else:
+                        counts[oldest] -= 1
+                recent.append(line)
+                counts[line] = seen + 1
+                if seen:
+                    self.stats.lines_seen += 1
+                    self.stats.duplicates_dropped += 1
+                    metrics_registry().counter("ingest.duplicates").inc()
+                    continue
+            record = self.accept_line(line)
+            if record is not None:
+                yield record
+
     def _pop_in_order(
         self, heap: list[tuple[float, int, LogRecord]], emitted: int
     ) -> LogRecord:
@@ -247,37 +250,23 @@ class HardenedIngestor:
             self.stats.resorted += 1
         return record
 
-    def ingest_path(self, path: str | Path) -> Iterator[LogRecord]:
-        """Stream clean records from a (possibly gzipped) log file."""
-        from ..io.logfile import iter_lines
-
-        return self.ingest_lines(iter_lines(path))
-
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Clear stats, dead letters and dedup state for a new feed."""
+        """Clear stats and dead letters for a new feed."""
         self.stats = IngestStats()
         self.dead_letters.clear()
-        self._recent.clear()
-        self._recent_set.clear()
 
     # ------------------------------------------------------------------
     # checkpointable state (service graceful-shutdown / resume path)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Stats, dead letters and the dedup window, JSON-serializable.
-
-        The dedup window is part of the state on purpose: resuming a
-        feed without it would stop deduplicating lines that straddle
-        the restart, breaking bit-identical resume.
-        """
+        """Stats and dead letters, JSON-serializable."""
         return {
-            "version": 1,
+            "version": 2,
             "stats": {
                 f.name: getattr(self.stats, f.name)
                 for f in fields(IngestStats)
             },
-            "recent": list(self._recent),
             "dead_letters": [
                 [d.lineno, d.line, d.reason] for d in self.dead_letters
             ],
@@ -286,16 +275,13 @@ class HardenedIngestor:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place."""
         version = state.get("version")
-        if version != 1:
+        if version != 2:
             raise ConfigError(
-                f"unsupported ingest state version {version!r} (expected 1)"
+                f"unsupported ingest state version {version!r} (expected 2)"
             )
         self.reset()
         for f in fields(IngestStats):
             setattr(self.stats, f.name, int(state["stats"][f.name]))
-        for line in state["recent"]:
-            self._recent.append(line)
-            self._recent_set[line] = self._recent_set.get(line, 0) + 1
         self.dead_letters.extend(
             DeadLetter(lineno=int(n), line=str(line), reason=str(reason))
             for n, line, reason in state["dead_letters"]

@@ -3,17 +3,15 @@
 The serving layer turns the paper's trained offline model into an
 operational system-health endpoint: raw syslog lines stream in, per-node
 failure warnings with lead times stream out, and the whole thing is
-built to *stay up* — supervised shard workers, bounded queues with
-backpressure and explicit load-shedding, per-shard circuit breakers
-into the monitor's degraded mode, deadline-bounded prediction calls,
-and graceful shutdown into an atomic checkpoint that resumes
-bit-identically.  Everything is stdlib ``asyncio``; no new dependencies.
+built to *stay up* — supervised shard workers whose crashed items
+replay exactly, bounded queues with backpressure and explicit
+load-shedding, deadline-bounded prediction calls, and graceful
+shutdown into an atomic checkpoint that resumes bit-identically.  Everything is stdlib ``asyncio``; no new dependencies.
 
 Layout:
 
 * :mod:`~repro.serve.router` — stable BLAKE2b node → shard placement;
 * :mod:`~repro.serve.queues` — bounded peek/commit queues + ingest dedup;
-* :mod:`~repro.serve.breaker` — per-shard circuit breakers (item-clocked);
 * :mod:`~repro.serve.supervisor` — worker restart with backoff + jitter;
 * :mod:`~repro.serve.service` — the sharded :class:`PredictionService`;
 * :mod:`~repro.serve.state` — checkpoint pack/restore of serving state;
@@ -21,7 +19,6 @@ Layout:
 * :mod:`~repro.serve.soak` — the chaos soak harness and its SLOs.
 """
 
-from .breaker import BreakerConfig, CircuitBreaker
 from .queues import HashDeduper, ShardQueue
 from .router import ShardRouter
 from .server import HttpServer, run_server
@@ -37,8 +34,6 @@ from .supervisor import RestartPolicy, Supervisor, WorkerState
 __all__ = [
     "AVAILABILITY_SLO",
     "RECOVERY_SLO_SECONDS",
-    "BreakerConfig",
-    "CircuitBreaker",
     "HashDeduper",
     "HttpServer",
     "IngestResult",

@@ -4,9 +4,10 @@
 FIFO with **peek/commit** consumption.  The shard worker peeks the head
 item, processes it, and only then commits (removes) it — so a worker
 that crashes mid-item leaves the item at the head of the queue and the
-restarted worker reprocesses it.  Combined with crash injection at item
-boundaries (before any monitor mutation), this is what makes a chaos
-soak's per-node predictions bit-identical to a fault-free run.
+restarted worker reprocesses it.  Combined with the monitor's
+all-or-nothing raw-line batches (a raising item leaves no trace), this
+is what makes per-node predictions after a crash — at an item boundary
+or in the middle of an item — bit-identical to a fault-free run.
 
 Producers never block indefinitely: :meth:`ShardQueue.offer` is
 non-blocking and :meth:`ShardQueue.offer_wait` waits for space only up

@@ -8,7 +8,8 @@ parser is simpler and more auditable than embedding a framework:
 * ``POST /ingest`` — body = raw log lines; 200 with per-bucket
   accounting, or **429 + Retry-After** when load was shed;
 * ``GET /health`` — the full service health document (shards, queues,
-  breakers, workers);
+  workers); ``status`` reads ``degraded`` while a crashed worker has
+  not committed an item since;
 * ``GET /nodes/<id>`` — one node's serving state;
 * ``GET /predict/<id>`` — deadline-bounded on-demand prediction
   (``?deadline_ms=`` overrides the configured default);

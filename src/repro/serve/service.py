@@ -4,31 +4,29 @@
 paper's lead-time predictions need: it fronts ``num_shards``
 independent :class:`~repro.core.monitor.StreamingMonitor` instances
 (each with its own hardened ingestor, LRU node table and episode
-buffers) behind bounded queues, a supervisor, and per-shard circuit
-breakers.  Robustness is the design center:
+buffers) behind bounded queues and a supervisor.  Robustness is the
+design center:
 
 * **ingest** hash-dedups each line, routes it to its owning shard, and
   admits it to that shard's bounded queue — waiting briefly for space
   (backpressure) and then **shedding** the batch with a retry-after
   hint rather than blocking or buffering without bound;
-* **shard workers** consume queue items under a peek/commit contract,
-  so a crash mid-item (contained and restarted by the
-  :class:`~repro.serve.supervisor.Supervisor`) replays the item and
-  loses nothing;
-* **circuit breakers** watch consecutive scoring faults per shard and
-  trip the monitor into its degraded-mode path (buffering without
-  scoring) for a cooldown instead of letting a poisoned shard fail
-  every item;
+* **shard workers** consume queue items under a peek/commit contract.
+  A fault anywhere in an item — parsing, scoring, a crash — is the one
+  fault path: the monitor rolls the item back, the worker dies, the
+  :class:`~repro.serve.supervisor.Supervisor` restarts it and the item
+  replays with the fault-free result; ``/health`` reads ``degraded``
+  until the shard commits again;
 * **prediction calls carry deadlines**: an on-demand
   :meth:`PredictionService.predict` rides the shard queue like any
-  other item, and if its deadline expires while queued (or scoring
-  faults, or the breaker is open) the caller gets an explicit
-  *degraded answer* instead of an error or an unbounded wait;
+  other item, and if its deadline expires while queued the caller gets
+  an explicit *degraded answer* instead of an error or an unbounded
+  wait;
 * **graceful shutdown** seals ingest, drains every queue, stops the
   workers and writes an atomic
   :class:`~repro.resilience.CheckpointManager` checkpoint of the entire
-  mutable state — monitors, breakers, dedup window, alert ring — so a
-  restarted service resumes the stream bit-identically.
+  mutable state — monitors, dedup window, alert ring — so a restarted
+  service resumes the stream bit-identically.
 
 Everything is stdlib ``asyncio`` + the repo's own subsystems; the HTTP
 front-end lives in :mod:`repro.serve.server`.
@@ -48,7 +46,6 @@ from ..errors import ConfigError, ServeError
 from ..obs import metrics_registry
 from ..resilience.checkpoint import CheckpointManager
 from ..topology.cray import NODE_ID_RE, CrayNodeId
-from .breaker import BreakerConfig, CircuitBreaker
 from .queues import HashDeduper, ShardQueue
 from .router import ShardRouter
 from .supervisor import RestartPolicy, Supervisor
@@ -63,7 +60,7 @@ class ServeConfig:
     Attributes
     ----------
     num_shards:
-        Independent monitor shards (and workers, queues, breakers).
+        Independent monitor shards (and workers, queues).
     queue_depth:
         Per-shard queue capacity in items (one item = one routed batch
         or one prediction request).
@@ -89,12 +86,11 @@ class ServeConfig:
     subscriber_buffer:
         Per-subscriber queue depth; a slower consumer drops alerts (an
         SSE stream then re-reads the ones the ring still holds).
-    episode_gap / max_nodes_per_shard / max_events_per_node /
-    recovery_successes:
+    episode_gap / max_nodes_per_shard / max_events_per_node:
         Forwarded to each shard's
         :class:`~repro.core.monitor.StreamingMonitor`.
-    breaker / restart:
-        Per-shard breaker thresholds and worker restart policy.
+    restart:
+        The shard workers' restart policy.
     checkpoint_dir:
         When set, graceful shutdown writes a service checkpoint here
         and :meth:`PredictionService.start` restores the latest one.
@@ -117,8 +113,6 @@ class ServeConfig:
     episode_gap: float = 600.0
     max_nodes_per_shard: int = 4096
     max_events_per_node: int = 512
-    recovery_successes: int = 3
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     restart: RestartPolicy = field(default_factory=RestartPolicy)
     checkpoint_dir: Optional[str] = None
     checkpoint_keep: int = 3
@@ -189,16 +183,14 @@ class IngestResult:
 
 
 class _Shard:
-    """One shard's state bundle: monitor, queue, breaker, counters."""
+    """One shard's state bundle: monitor, queue, counters."""
 
     def __init__(
-        self, index: int, monitor: StreamingMonitor, queue: ShardQueue,
-        breaker: CircuitBreaker,
+        self, index: int, monitor: StreamingMonitor, queue: ShardQueue
     ) -> None:
         self.index = index
         self.monitor = monitor
         self.queue = queue
-        self.breaker = breaker
         self.items_taken = 0
         self.lines_processed = 0
         self.ingest_errors = 0
@@ -219,9 +211,6 @@ class PredictionService:
         monitor scores with (shared, read-only).
     config:
         A :class:`ServeConfig`; defaults are production-ish.
-    ingest_config:
-        Optional :class:`~repro.resilience.IngestConfig` forwarded to
-        each shard monitor's hardened raw-line path.
     fault_hook:
         Chaos-soak hook called as ``fault_hook(shard_index,
         item_index)`` before each queue item is processed (i.e. at an
@@ -235,7 +224,6 @@ class PredictionService:
         model,
         config: ServeConfig | None = None,
         *,
-        ingest_config=None,
         fault_hook: Optional[Callable[[int, int], Optional[float]]] = None,
     ) -> None:
         self.model = model
@@ -251,11 +239,8 @@ class PredictionService:
                     episode_gap=self.config.episode_gap,
                     max_nodes=self.config.max_nodes_per_shard,
                     max_events_per_node=self.config.max_events_per_node,
-                    ingest_config=ingest_config,
-                    recovery_successes=self.config.recovery_successes,
                 ),
                 ShardQueue(self.config.queue_depth),
-                CircuitBreaker(self.config.breaker, name=f"shard{index}"),
             )
             for index in range(self.config.num_shards)
         ]
@@ -447,11 +432,11 @@ class PredictionService:
             await asyncio.sleep(0)
 
     def _process_lines(self, shard: _Shard, batch: list[str]) -> None:
-        monitor = shard.monitor
-        allow = shard.breaker.allow()
-        monitor.degraded_mode = not allow
         registry = metrics_registry()
-        for outcome in monitor.feed_line_batch(batch):
+        # feed_line_batch commits all or nothing: if it raises, the
+        # monitor is as it was before the item, the worker dies with
+        # the item uncommitted, and the restarted worker replays it.
+        for outcome in shard.monitor.feed_line_batch(batch):
             shard.lines_processed += 1
             if outcome.ingest_error is not None:
                 # Budget exhaustion is an operational signal, not a
@@ -460,11 +445,6 @@ class PredictionService:
                 shard.ingest_errors += 1
                 registry.counter("serve.ingest_budget_errors").inc()
                 continue
-            if allow and outcome.attempted:
-                if outcome.skipped:
-                    shard.breaker.record_fault()
-                else:
-                    shard.breaker.record_success()
             if outcome.warning is not None:
                 self._publish(outcome.warning)
 
@@ -479,10 +459,6 @@ class PredictionService:
             future.set_result(
                 self._degraded_answer(node_text, "deadline-expired")
             )
-            return
-        if shard.breaker.state == "open":
-            registry.counter("serve.predict.breaker_degraded").inc()
-            future.set_result(self._degraded_answer(node_text, "breaker-open"))
             return
         try:
             node = CrayNodeId.parse(node_text)
@@ -501,14 +477,6 @@ class PredictionService:
         }
         if episode:
             score = self.model.predictor.score_partial_batch([episode])[0]
-            if score.error is not None:
-                shard.breaker.record_fault()
-                registry.counter("serve.predict.faults").inc()
-                future.set_result(
-                    self._degraded_answer(node_text, "prediction-error")
-                )
-                return
-            shard.breaker.record_success()
             answer.update(
                 flagged=bool(score.flagged),
                 mse=_finite(score.mse),
@@ -537,8 +505,8 @@ class PredictionService:
         """Deadline-bounded prediction for one node's open episode.
 
         The request rides the owning shard's queue like any other item;
-        whatever happens — queue full, deadline expired while queued,
-        breaker open, scoring fault — the caller gets a dict, with
+        a full queue, a deadline that expires while queued or an
+        unparseable node id gives the caller a dict with
         ``degraded: true`` and a ``reason`` instead of an error.
         """
         budget = (
@@ -624,20 +592,21 @@ class PredictionService:
         }
 
     def health(self) -> dict:
-        """The full operator-facing health document."""
+        """The full operator-facing health document.
+
+        The service reads ``degraded`` while any shard worker has
+        crashed without committing an item since (its item is being
+        replayed) or has been given up on.
+        """
         shards = []
         degraded = False
         for shard, worker in zip(self._shards, self.supervisor.states):
-            monitor_health = shard.monitor.health().as_dict()
-            if shard.breaker.state != "closed" or worker.failed:
-                degraded = True
-            if monitor_health["status"] == "degraded":
+            if worker.failed or worker.consecutive_failures > 0:
                 degraded = True
             shards.append(
                 {
                     "shard": shard.index,
-                    "monitor": monitor_health,
-                    "breaker": shard.breaker.as_dict(),
+                    "monitor": shard.monitor.health().as_dict(),
                     "worker": worker.as_dict(),
                     "queue": {
                         "depth": shard.queue.depth,

@@ -4,9 +4,8 @@ Graceful shutdown snapshots everything a restarted
 :class:`~repro.serve.service.PredictionService` needs to resume the
 stream **bit-identically**: every shard monitor's
 :meth:`~repro.core.monitor.StreamingMonitor.state_dict` (buffers in LRU
-order, alert latches, counters, status machine, ingest stats + dedup
-window), every circuit breaker's position, the service-level ingest
-dedup window, and the retained alert ring.  The snapshot is pure JSON
+order, alert latches, counters, ingest stats and dead letters), the
+service-level ingest dedup window, and the retained alert ring.  The snapshot is pure JSON
 and rides the :class:`~repro.resilience.CheckpointManager` ``meta``
 channel (``arrays={}``), inheriting its atomic write-rename-manifest
 protocol and retention/GC.
@@ -27,7 +26,7 @@ from ..resilience.checkpoint import CheckpointManager
 __all__ = ["service_state", "restore_service_state", "save_service_checkpoint"]
 
 #: Bump when the layout of the service snapshot changes incompatibly.
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 def service_state(service) -> dict:
@@ -41,7 +40,6 @@ def service_state(service) -> dict:
         "shards": [
             {
                 "monitor": shard.monitor.state_dict(),
-                "breaker": shard.breaker.state_dict(),
                 "items_taken": shard.items_taken,
                 "lines_processed": shard.lines_processed,
                 "ingest_errors": shard.ingest_errors,
@@ -77,7 +75,6 @@ def restore_service_state(service, state: dict) -> None:
     service.dedup.load_state_dict(state["dedup"])
     for shard, shard_state in zip(service._shards, state["shards"]):
         shard.monitor.load_state_dict(shard_state["monitor"])
-        shard.breaker.load_state_dict(shard_state["breaker"])
         shard.items_taken = int(shard_state["items_taken"])
         shard.lines_processed = int(shard_state["lines_processed"])
         shard.ingest_errors = int(shard_state["ingest_errors"])

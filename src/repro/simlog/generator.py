@@ -173,12 +173,6 @@ class GroundTruth:
                 return f
         return None
 
-    def failures_in(self, start: float, end: float) -> list[FailureEvent]:
-        """Failures whose terminal lies in ``[start, end]``."""
-        lo = bisect.bisect_left(self._terminal_times, start)
-        hi = bisect.bisect_right(self._terminal_times, end)
-        return self.failures[lo:hi]
-
     def summary(self) -> dict[str, int]:
         """Event counts per kind (failures, near misses, maintenance)."""
         return {

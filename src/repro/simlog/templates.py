@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Mapping, Sequence
+from typing import Callable, Dict, Iterator, Sequence
 
 import numpy as np
 
@@ -239,10 +239,6 @@ class TemplateCatalog:
             raise LogGenerationError("catalog has no safe templates")
         i = rng.choice(len(self._safe), p=self._safe_probs)
         return self._safe[int(i)]
-
-    def static_label_map(self, mask: str = "<*>") -> Mapping[str, str]:
-        """Map of static text -> ground-truth label, for evaluation joins."""
-        return {t.static_text(mask): t.label for t in self._by_key.values()}
 
 
 def _safe_templates() -> list[MessageTemplate]:

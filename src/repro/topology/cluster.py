@@ -96,18 +96,6 @@ class ClusterTopology:
         col = index // self.cabinet_rows
         return CrayNodeId(col, row, chassis, slot, node)
 
-    def index_of(self, node: CrayNodeId) -> int:
-        """Inverse of :meth:`node_at`."""
-        self._check_bounds(node)
-        return (
-            (
-                (node.col * self.cabinet_rows + node.row) * self.chassis_per_cabinet
-                + node.chassis
-            )
-            * self.slots_per_chassis
-            + node.slot
-        ) * self.nodes_per_blade + node.node
-
     def _check_bounds(self, node: CrayNodeId) -> None:
         if (
             node.col >= self.cabinet_cols
@@ -121,15 +109,6 @@ class ClusterTopology:
     # ------------------------------------------------------------------
     # spatial neighbourhoods (for correlated fault injection)
     # ------------------------------------------------------------------
-    def blade_mates(self, node: CrayNodeId) -> list[CrayNodeId]:
-        """All other nodes sharing *node*'s blade."""
-        self._check_bounds(node)
-        return [
-            CrayNodeId(node.col, node.row, node.chassis, node.slot, n)
-            for n in range(self.nodes_per_blade)
-            if n != node.node
-        ]
-
     def cabinet_mates(self, node: CrayNodeId) -> list[CrayNodeId]:
         """All other nodes sharing *node*'s cabinet."""
         self._check_bounds(node)

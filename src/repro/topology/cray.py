@@ -85,10 +85,6 @@ class CrayNodeId:
         """True when both nodes live in the same physical cabinet."""
         return self.cabinet == other.cabinet
 
-    def same_blade(self, other: "CrayNodeId") -> bool:
-        """True when both nodes share a blade (strongest spatial coupling)."""
-        return self.blade == other.blade
-
     def location_phrase(self) -> str:
         """Human-readable location, for failure warnings.
 

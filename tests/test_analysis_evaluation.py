@@ -110,7 +110,7 @@ class TestEvaluate:
         ]
         result = Evaluator(truth).evaluate(verdicts)
         assert len(result.true_positives()) == 1
-        assert len(result.false_positives()) == 1
+        assert result.counts.fp == 1
 
     def test_metrics_property(self, truth):
         result = Evaluator(truth).evaluate(

@@ -80,11 +80,6 @@ class TestFailureClassifier:
         )
         assert fitted.classify(ep) is FailureClass.MCE
 
-    def test_class_scores_sum_structure(self, fitted):
-        scores = fitted.class_scores(chain_of([1, 2, 9]))
-        assert set(scores) == set(FailureClass)
-        assert scores[FailureClass.MCE] > scores[FailureClass.PANIC] - 1e-9
-
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             FailureClassifier(12).classify(chain_of([1, 2, 9]))

@@ -69,11 +69,6 @@ class TestLeadTimeScaler:
             encoded = scaler.encode(np.array([dt]), np.array([0]))
             assert scaler.decode_lead_seconds(encoded[0, 0]) == pytest.approx(dt)
 
-    def test_decode_phrase_round_trip(self, scaler):
-        ids = np.arange(50)
-        encoded = scaler.encode(np.zeros(50), ids)
-        assert np.array_equal(scaler.decode_phrase_id(encoded[:, 1]), ids)
-
     def test_encode_chain(self, scaler):
         out = scaler.encode_chain(np.array([0.0, 60.0]), np.array([1, 2]))
         assert out[0, 0] == pytest.approx(0.1)  # 60s before end
@@ -111,7 +106,6 @@ class TestLeadTimeScaler:
         scaler = LeadTimeScaler(600.0, 50)
         enc = scaler.encode(np.array([dt]), np.array([pid]))
         assert scaler.decode_lead_seconds(enc[0, 0]) == pytest.approx(dt, abs=1e-9)
-        assert scaler.decode_phrase_id(enc[0, 1]) == pid
 
 
 class TestPaperUnitsMSE:

@@ -145,17 +145,19 @@ class TestStreamingMonitor:
         assert monitor.records_seen == 2
         assert len(monitor._buffers[anomalous.node]) == 2
 
-    def test_duplicate_lines_dropped_in_line_path(
+    def test_duplicate_lines_buffer_both_in_line_path(
         self, trained_model, test_split
     ):
+        """The line path is dedup-free too: the service dedups upstream."""
         monitor = StreamingMonitor(trained_model)
         anomalous = _find_record(trained_model, test_split.records, terminal=False)
         line = render_line(anomalous)
         monitor.feed_line_batch([line])
         monitor.feed_line_batch([line])
         health = monitor.health()
-        assert health.records_seen == 1
-        assert health.ingest["duplicates_dropped"] == 1
+        assert health.records_seen == 2
+        assert health.ingest["duplicates_dropped"] == 0
+        assert len(monitor.open_episode(anomalous.node)) == 2
 
     def test_lru_eviction_bounds_node_table(self, monitor, test_split):
         bounded = StreamingMonitor(monitor.model, max_nodes=4)
@@ -187,32 +189,6 @@ class TestStreamingMonitor:
         times = [e.timestamp for e in monitor.open_episode(anomalous.node)]
         assert times == [t0, t0 + 10.0, t0 + 20.0, t0 + 30.0]
         assert monitor.scores_attempted == 4
-        assert monitor.degraded_skips == 0
-
-    def test_prediction_error_degrades_to_counted_skip(
-        self, trained_model, test_split
-    ):
-        from repro.core.phase3 import PartialScore
-        from repro.errors import PredictionError
-
-        monitor = StreamingMonitor(trained_model)
-
-        class _Poisoned:
-            def score_partial_batch(self, units):
-                # Batched scoring attributes the failure per unit
-                # instead of raising, like Phase3Predictor does.
-                error = PredictionError("poisoned episode")
-                return [
-                    PartialScore(False, float("inf"), 0.0, error=error)
-                    for _ in units
-                ]
-
-        monitor.model = dataclasses.replace(
-            trained_model, predictor=_Poisoned()
-        )
-        anomalous = _find_record(trained_model, test_split.records, terminal=False)
-        assert monitor.feed(anomalous) is None
-        assert monitor.degraded_skips == 1
 
     def test_health_snapshot_counts(self, monitor, test_split):
         warnings = list(monitor.run(test_split.records[:2000]))
@@ -220,10 +196,10 @@ class TestStreamingMonitor:
         assert health.records_seen == 2000
         assert health.warnings_raised == len(warnings)
         assert health.open_episodes == len(monitor.pending_nodes())
-        assert health.ingest is None  # record path never built an ingestor
+        assert health.ingest["lines_seen"] == 0  # record path skips ingest
         as_dict = health.as_dict()
         assert as_dict["records_seen"] == 2000
-        assert "ingest" not in as_dict
+        assert as_dict["ingest"] == health.ingest
 
     def test_rejects_bad_bounds(self, trained_model):
         from repro.errors import ConfigError
@@ -256,22 +232,8 @@ class TestBatchedFeedEquivalence:
         monitor = StreamingMonitor(trained_model)
         outcomes = monitor.feed_batch(records)
         assert len(outcomes) == len(records)
-        attempted = sum(1 for o in outcomes if o.attempted)
-        skipped = sum(1 for o in outcomes if o.skipped)
         raised = [o.warning for o in outcomes if o.warning is not None]
-        assert attempted == monitor.scores_attempted
-        assert skipped == monitor.degraded_skips
-        assert len(raised) == monitor.warnings_raised
-
-    def test_degraded_mode_skips_whole_batch(self, trained_model, test_split):
-        monitor = StreamingMonitor(trained_model)
-        monitor.degraded_mode = True
-        outcomes = monitor.feed_batch(test_split.records[:400])
-        assert all(o.warning is None for o in outcomes)
-        assert not any(o.attempted for o in outcomes)
-        assert monitor.scores_attempted == 0
-        assert monitor.degraded_skips == sum(1 for o in outcomes if o.skipped)
-        assert monitor.degraded_skips > 0
+        assert len(raised) == monitor.warnings_raised > 0
 
     def test_state_round_trip_mid_stream(self, trained_model, test_split):
         records = test_split.records[:2000]
@@ -307,19 +269,15 @@ class TestBatchedFeedEquivalence:
     def test_feed_line_batch_reports_ingest_error_in_outcome(
         self, trained_model
     ):
-        from repro.resilience import IngestConfig
-
-        monitor = StreamingMonitor(
-            trained_model,
-            ingest_config=IngestConfig(
-                max_bad_ratio=0.0, min_lines_for_budget=1
-            ),
-        )
-        outcomes = monitor.feed_line_batch(["not a log line at all"])
-        assert len(outcomes) == 1
-        assert outcomes[0].ingest_error is not None
-        assert outcomes[0].warning is None
-        assert not outcomes[0].attempted
+        # The default budget is enforced from the 100th line on, so a
+        # batch of garbage reports errors from there instead of raising.
+        monitor = StreamingMonitor(trained_model)
+        outcomes = monitor.feed_line_batch(["not a log line at all"] * 120)
+        assert len(outcomes) == 120
+        assert all(o.ingest_error is None for o in outcomes[:99])
+        assert all(o.ingest_error is not None for o in outcomes[99:])
+        assert all(o.warning is None for o in outcomes)
+        assert monitor.records_seen == 0
 
     def test_run_rejects_bad_batch_size(self, monitor, test_split):
         from repro.errors import ConfigError

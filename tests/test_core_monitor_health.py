@@ -1,16 +1,15 @@
-"""Tests for StreamingMonitor health transitions, eviction and state.
+"""Tests for StreamingMonitor episode lifecycle, eviction and state.
 
 Satellite coverage for the serving layer's dependencies on the monitor:
-the healthy → degraded → recovered status machine, eager terminal
-episode close, LRU eviction under sustained feed, forced degraded mode
-and the checkpointable state dict.
+eager terminal episode close, LRU eviction under sustained feed and the
+checkpointable state dict.
 """
 
 import pytest
 
 from repro.core import StreamingMonitor
 from repro.core.phase3 import PartialScore
-from repro.errors import ConfigError, PredictionError
+from repro.errors import ConfigError
 from repro.events import Label, ParsedEvent
 from repro.topology import CrayNodeId
 
@@ -23,21 +22,12 @@ class _FakeParser:
 
 
 class _FakeScorer:
-    """Scripted phase-3 stand-in: fail or flag on demand."""
+    """Scripted phase-3 stand-in: flag on demand."""
 
     def __init__(self):
-        self.fail = False
         self.flag = False
 
     def score_partial_batch(self, units):
-        # Same shape as Phase3Predictor.score_partial_batch: a scoring
-        # failure is attributed to the unit, never raised.
-        if self.fail:
-            error = PredictionError("scripted scoring failure")
-            return [
-                PartialScore(False, float("inf"), 0.0, error=error)
-                for _ in units
-            ]
         return [PartialScore(self.flag, 0.5, 60.0) for _ in units]
 
 
@@ -65,70 +55,7 @@ def model():
 
 @pytest.fixture
 def monitor(model):
-    return StreamingMonitor(model, recovery_successes=3)
-
-
-class TestStatusTransitions:
-    def test_starts_healthy(self, monitor):
-        assert monitor.status == "healthy"
-        assert monitor.health().status == "healthy"
-
-    def test_scoring_failure_degrades(self, monitor, model):
-        monitor.feed(_event(1.0))
-        assert monitor.status == "healthy"
-        model.predictor.fail = True
-        monitor.feed(_event(2.0))
-        assert monitor.status == "degraded"
-        assert monitor.degraded_skips == 1
-        assert monitor.health().status == "degraded"
-
-    def test_recovers_after_consecutive_successes(self, monitor, model):
-        model.predictor.fail = True
-        monitor.feed(_event(1.0))
-        model.predictor.fail = False
-        monitor.feed(_event(2.0))
-        monitor.feed(_event(3.0))
-        assert monitor.status == "degraded"  # 2 of 3 needed
-        monitor.feed(_event(4.0))
-        assert monitor.status == "recovered"
-
-    def test_failure_resets_recovery_progress(self, monitor, model):
-        model.predictor.fail = True
-        monitor.feed(_event(1.0))
-        model.predictor.fail = False
-        monitor.feed(_event(2.0))
-        monitor.feed(_event(3.0))
-        model.predictor.fail = True
-        monitor.feed(_event(4.0))  # relapse: progress resets
-        model.predictor.fail = False
-        monitor.feed(_event(5.0))
-        monitor.feed(_event(6.0))
-        assert monitor.status == "degraded"
-        monitor.feed(_event(7.0))
-        assert monitor.status == "recovered"
-
-    def test_forced_degraded_mode_skips_scoring_and_degrades_status(
-        self, monitor
-    ):
-        monitor.degraded_mode = True
-        monitor.feed(_event(1.0))
-        assert monitor.scores_attempted == 0
-        assert monitor.degraded_skips == 1
-        assert monitor.status == "degraded"
-        # Events are still buffered: the episode stays warm.
-        assert monitor.open_episode(CrayNodeId.parse("c0-0c0s0n0"))
-
-    def test_scores_attempted_counts_only_real_attempts(self, monitor):
-        monitor.feed(_event(1.0))
-        monitor.feed(_event(2.0))
-        monitor.degraded_mode = True
-        monitor.feed(_event(3.0))
-        assert monitor.scores_attempted == 2
-        assert monitor.health().scores_attempted == 2
-
-    def test_rejects_bad_recovery_successes(self, model):
-        with pytest.raises(ConfigError):
-            StreamingMonitor(model, recovery_successes=0)
+    return StreamingMonitor(model)
 
 
 class TestEpisodeLifecycle:
@@ -205,19 +132,16 @@ class TestEviction:
 
 class TestStateDict:
     def test_round_trip_preserves_everything(self, model):
-        monitor = StreamingMonitor(model, recovery_successes=2)
+        monitor = StreamingMonitor(model)
         model.predictor.flag = True
         monitor.feed(_event(1.0, node="c0-0c0s0n0"))
         model.predictor.flag = False
-        model.predictor.fail = True
         monitor.feed(_event(2.0, node="c0-0c0s0n1"))
-        model.predictor.fail = False
         monitor.feed(_event(3.0, node="c0-0c0s1n0"))
 
-        restored = StreamingMonitor(model, recovery_successes=2)
+        restored = StreamingMonitor(model)
         restored.load_state_dict(monitor.state_dict())
         assert restored.state_dict() == monitor.state_dict()
-        assert restored.status == monitor.status == "degraded"
         assert restored.has_alerted(CrayNodeId.parse("c0-0c0s0n0"))
         # LRU order survives: evict behavior matches from here on.
         assert [str(n) for n in restored.pending_nodes()] == [

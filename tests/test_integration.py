@@ -127,6 +127,6 @@ class TestObservations:
                     # a maintenance false positive.
                     assert not (
                         maint.start_time - 30.0
-                        <= p.predicted_failure_time
+                        <= p.decision_time + p.lead_seconds
                         <= maint.start_time + 60.0
                     ), f"maintenance shutdown predicted as failure: {p}"

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 from repro.nn.activations import (
     log_softmax,
     relu,
-    relu_grad,
     sigmoid,
     sigmoid_grad,
     softmax,
@@ -61,10 +60,6 @@ class TestTanh:
 class TestRelu:
     def test_values(self):
         assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
-
-    def test_grad(self):
-        y = relu(np.array([-2.0, 3.0]))
-        assert np.array_equal(relu_grad(y), [0.0, 1.0])
 
 
 class TestSoftmax:

@@ -71,10 +71,6 @@ class TestTraining:
         )
         assert within > across + 0.2
 
-    def test_most_similar_prefers_group(self, trained_embedder):
-        top = [i for i, _ in trained_embedder.most_similar(0, top=2)]
-        assert set(top) <= {1, 2}
-
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             SkipGramEmbedder(4).vectors

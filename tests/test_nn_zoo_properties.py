@@ -103,12 +103,6 @@ def test_malformed_input_raises_shape_error(name):
         bb.forward_infer(np.zeros((2, 4, IN + 1)))  # wrong feature width
 
 
-def test_tcn_receptive_field_covers_dilations():
-    bb = TCNBackbone(IN, HID, 3, np.random.default_rng(1), kernel_size=3)
-    # Levels at dilation 1, 2, 4 with k=3: 1 + 2*2*(1+2+4) = 29.
-    assert bb.receptive_field == 29
-
-
 def _caches(bb: TCNBackbone) -> list:
     """Every block's backward caches: conv columns and ReLU masks."""
     out = []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
-from repro.events import Label
 from repro.parsing import LogParser, PhraseVocabulary
 from repro.parsing.tokenizer import mask_message
 from repro.simlog.record import LogRecord
@@ -29,12 +28,6 @@ class TestFitTransform:
             pid = fitted_parser.vocab.get_id(canon)
             if pid >= 0:
                 assert fitted_parser.phrase_label(pid) == template.label
-
-    def test_terminal_ids_detected(self, fitted_parser):
-        terminals = fitted_parser.terminal_ids()
-        assert terminals, "terminal phrases must be detected"
-        for pid in terminals:
-            assert fitted_parser.phrase_label(pid) == Label.ERROR
 
     def test_events_sorted(self, small_log, fitted_parser):
         result = fitted_parser.transform(small_log.records)
@@ -64,16 +57,6 @@ class TestFitTransform:
         with pytest.raises(NotFittedError):
             parser.encode(LogRecord(0.0, None, "kernel", "x"))
 
-    def test_phrases_with_label(self, fitted_parser):
-        safe = fitted_parser.phrases_with_label(Label.SAFE)
-        err = fitted_parser.phrases_with_label(Label.ERROR)
-        assert safe and err
-        assert not set(safe) & set(err)
-
-    def test_phrases_with_bad_label_raises(self, fitted_parser):
-        with pytest.raises(NotFittedError):
-            fitted_parser.phrases_with_label("bogus")
-
     def test_phrase_label_out_of_range(self, fitted_parser):
         with pytest.raises(NotFittedError):
             fitted_parser.phrase_label(10_000)
@@ -82,12 +65,6 @@ class TestFitTransform:
         parser = LogParser()
         result = parser.fit_transform(list(small_log.records[:500]))
         assert len(result) == 500
-
-    def test_node_events_filter(self, small_log, fitted_parser):
-        result = fitted_parser.transform(small_log.records)
-        node = small_log.ground_truth.failures[0].node
-        seq = result.node_events(node)
-        assert all(e.node == node for e in seq)
 
     def test_transform_is_deterministic(self, small_log, fitted_parser):
         a = fitted_parser.transform(small_log.records[:200])
@@ -115,9 +92,12 @@ class TestFromVocabulary:
         assert [e.phrase_id for e in a.events] == [e.phrase_id for e in b.events]
         assert [e.label for e in a.events] == [e.label for e in b.events]
 
-    def test_terminal_flags_preserved(self, fitted_parser):
+    def test_terminal_flags_preserved(self, fitted_parser, small_log):
         rebuilt = LogParser.from_vocabulary(fitted_parser.vocab)
-        assert rebuilt.terminal_ids() == fitted_parser.terminal_ids()
+        a = fitted_parser.transform(small_log.records)
+        b = rebuilt.transform(small_log.records)
+        assert any(e.terminal for e in a.events)
+        assert [e.terminal for e in a.events] == [e.terminal for e in b.events]
 
     def test_round_trip_preserves_counts(self, fitted_parser, tmp_path):
         """Occurrence counts survive save -> load -> rebuild unchanged."""

@@ -5,10 +5,8 @@ import json
 
 import pytest
 
-from repro.core.phase3 import PartialScore
-from repro.errors import ConfigError, PredictionError, ServeError
+from repro.errors import ConfigError, InjectedFaultError, ServeError
 from repro.serve import PredictionService, ServeConfig
-from repro.serve.breaker import BreakerConfig
 from repro.simlog.record import render_line
 
 
@@ -226,36 +224,6 @@ class TestPredict:
         assert answer["mse"] == expected.mse
         assert answer["lead_seconds"] == expected.lead_seconds
 
-    def test_predict_scoring_error_degrades_and_faults_breaker(
-        self, trained_model, lines, monkeypatch
-    ):
-        def poisoned(units):
-            error = PredictionError("poisoned scorer")
-            return [
-                PartialScore(False, float("inf"), 0.0, error=error)
-                for _ in units
-            ]
-
-        async def run():
-            service = await self._drained_service(trained_model, lines[:800])
-            node = next(
-                n for s in service._shards for n in s.monitor.pending_nodes()
-            )
-            shard = service._shards[service.router.shard_of_key(str(node))]
-            faults_before = shard.breaker.as_dict()["consecutive_faults"]
-            monkeypatch.setattr(
-                trained_model.predictor, "score_partial_batch", poisoned
-            )
-            answer = await service.predict(str(node), deadline_seconds=5.0)
-            faults_after = shard.breaker.as_dict()["consecutive_faults"]
-            await service.stop(checkpoint=False)
-            return answer, faults_before, faults_after
-
-        answer, faults_before, faults_after = asyncio.run(run())
-        assert answer["degraded"] is True
-        assert answer["reason"] == "prediction-error"
-        assert faults_after == faults_before + 1
-
     def test_predict_deadline_expires_to_degraded_answer(
         self, trained_model, lines
     ):
@@ -277,23 +245,6 @@ class TestPredict:
         answer = asyncio.run(run())
         assert answer["degraded"] is True
         assert answer["reason"] == "deadline-expired"
-
-    def test_predict_with_open_breaker_degrades(self, trained_model):
-        async def run():
-            config = _config(num_shards=1)
-            service = PredictionService(trained_model, config)
-            shard = service._shards[0]
-            for _ in range(shard.breaker.config.fail_threshold):
-                shard.breaker.record_fault()
-            assert shard.breaker.state == "open"
-            await service.start(restore=False)
-            answer = await service.predict("c0-0c0s0n0", deadline_seconds=2.0)
-            await service.stop(checkpoint=False)
-            return answer
-
-        answer = asyncio.run(run())
-        assert answer["degraded"] is True
-        assert answer["reason"] == "breaker-open"
 
     def test_predict_bad_node_id_degrades(self, trained_model):
         async def run():
@@ -320,47 +271,42 @@ class TestPredict:
         asyncio.run(run())
 
 
-class TestBreakerIntegration:
-    def test_scoring_faults_trip_breaker_into_degraded_mode(
-        self, trained_model, lines, monkeypatch
+class TestHealth:
+    def test_crash_looping_worker_reads_degraded_until_it_recovers(
+        self, trained_model, lines
     ):
-        def explode(units):
-            # A failed batched forward is attributed per unit, exactly
-            # like Phase3Predictor's fallback path.
-            error = PredictionError("poisoned scorer")
-            return [
-                PartialScore(False, float("inf"), 0.0, error=error)
-                for _ in units
-            ]
+        crashing = [True]
 
-        monkeypatch.setattr(
-            trained_model.predictor, "score_partial_batch", explode
-        )
+        def hook(shard, item):
+            if crashing[0]:
+                raise InjectedFaultError("worker fault on every item")
+            return None
 
         async def run():
-            config = _config(
-                num_shards=1,
-                breaker=BreakerConfig(
-                    fail_threshold=3, cooldown_items=1000,
-                    half_open_successes=1,
-                ),
+            service = PredictionService(
+                trained_model, _config(num_shards=1), fault_hook=hook
             )
-            service = PredictionService(trained_model, config)
             await service.start(restore=False)
-            for i in range(0, 400, 40):
-                await service.ingest_lines(lines[i : i + 40])
+            assert service.health()["status"] == "ok"
+            await service.ingest_lines(lines[:20])
+            for _ in range(200):
+                if service.supervisor.total_restarts >= 2:
+                    break
+                await asyncio.sleep(0.01)
+            during = service.health()
+            crashing[0] = False
+            drained = await service._shards[0].queue.join(5.0)
+            after = service.health()
             await service.stop(checkpoint=False)
-            return service
+            return during, drained, after
 
-        service = asyncio.run(run())
-        shard = service._shards[0]
-        assert shard.breaker.state == "open"
-        monitor = shard.monitor
-        assert monitor.degraded_skips > 0
-        assert monitor.status == "degraded"
-        # Once open, the monitor was routed through forced degraded mode:
-        # skips keep counting but scoring attempts stop growing.
-        assert monitor.degraded_skips > monitor.scores_attempted
+        during, drained, after = asyncio.run(run())
+        assert during["restarts"] >= 2
+        assert during["shards"][0]["worker"]["consecutive_failures"] > 0
+        assert during["status"] == "degraded"
+        assert drained
+        assert after["shards"][0]["worker"]["consecutive_failures"] == 0
+        assert after["status"] == "ok"
 
 
 class TestCheckpointResume:

@@ -4,18 +4,21 @@ Marked ``soak`` (deselect with ``-m 'not soak'``); CI runs them as a
 dedicated short smoke-soak job with a hard per-job timeout.
 """
 
+import asyncio
+
 import pytest
 
 from repro.serve import (
     AVAILABILITY_SLO,
     RECOVERY_SLO_SECONDS,
+    PredictionService,
     ServeConfig,
     run_soak,
 )
 from repro.serve.soak import SoakReport
 from repro.errors import ServeError
 from repro.resilience import FaultProfile
-from repro.simlog.record import render_line
+from repro.simlog.record import parse_line, render_line
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +92,97 @@ class TestStormSoak:
             report.stalls_injected + report.bursts_injected
             + report.crashes_injected
         ) > 0
+
+
+def _serve(model, lines):
+    """Feed *lines* through a 2-shard service in 100-line batches.
+
+    Returns the alerts (without the scheduler-dependent ``seq``) as a
+    sorted multiset, every shard's monitor state and the restart count.
+    """
+
+    async def run():
+        service = PredictionService(
+            model,
+            ServeConfig(num_shards=2, queue_depth=256, dedup_window=100_000),
+        )
+        await service.start(restore=False)
+        for i in range(0, len(lines), 100):
+            result = await service.ingest_lines(lines[i : i + 100])
+            assert result.shed == 0
+        await service.stop(checkpoint=False)
+        return service
+
+    service = asyncio.run(run())
+    alerts = sorted(
+        sorted((k, v) for k, v in alert.items() if k != "seq")
+        for alert in service.alerts_since(0)
+    )
+    states = [shard.monitor.state_dict() for shard in service._shards]
+    return alerts, states, service.supervisor.total_restarts
+
+
+def _assert_replayed_exactly(faulted, fault_free):
+    alerts, states, restarts = faulted
+    assert restarts == 1
+    assert len(alerts) == len(fault_free[0])
+    assert alerts == fault_free[0]
+    assert states == fault_free[1]
+
+
+@pytest.mark.soak
+class TestMidItemReplay:
+    """A fault raised inside a shard item replays to the fault-free run."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, test_split):
+        return [render_line(r) for r in test_split.records][:1500]
+
+    @pytest.fixture(scope="class")
+    def fault_free(self, trained_model, lines):
+        return _serve(trained_model, lines)
+
+    def test_fault_free_run_alerts_without_restarts(self, fault_free):
+        alerts, _, restarts = fault_free
+        assert len(alerts) > 0
+        assert restarts == 0
+
+    @pytest.mark.parametrize("flush", [1, 2, 3, 5, 8, 12, 20])
+    def test_scorer_raising_once_at_flush(
+        self, trained_model, lines, fault_free, flush, monkeypatch
+    ):
+        score = trained_model.predictor.score_partial_batch
+        calls = []
+
+        def raise_once(units):
+            calls.append(len(units))
+            if len(calls) == flush:
+                raise RuntimeError(f"scorer fault at flush {flush}")
+            return score(units)
+
+        monkeypatch.setattr(
+            trained_model.predictor, "score_partial_batch", raise_once
+        )
+        _assert_replayed_exactly(_serve(trained_model, lines), fault_free)
+
+    def test_encode_raising_once_mid_batch(
+        self, trained_model, lines, fault_free, monkeypatch
+    ):
+        # Line 737 sits in the middle of the 8th ingest batch, so the
+        # records before it in its shard item were already fed.
+        poisoned = parse_line(lines[737])
+        encode = trained_model.parser.encode
+        raised = []
+
+        def raise_once(record):
+            if record == poisoned and not raised:
+                raised.append(record)
+                raise RuntimeError("encode fault mid-batch")
+            return encode(record)
+
+        monkeypatch.setattr(trained_model.parser, "encode", raise_once)
+        _assert_replayed_exactly(_serve(trained_model, lines), fault_free)
+        assert raised
 
 
 class TestSoakHarness:

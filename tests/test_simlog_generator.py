@@ -126,13 +126,6 @@ class TestGeneratedLog:
             is None
         )
 
-    def test_failures_in_range(self, small_log):
-        gt = small_log.ground_truth
-        all_failures = gt.failures_in(0.0, small_log.config.horizon)
-        assert len(all_failures) == len(gt.failures)
-        assert gt.failures_in(0.0, 1.0) == []
-
-
 class TestSplit:
     def test_split_partitions_records(self, small_log):
         train, test = small_log.split(0.3)

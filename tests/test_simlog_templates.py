@@ -103,7 +103,3 @@ class TestDefaultCatalog:
             form = mask_message(t.fill(rng))
             assert form not in canon, f"{t.key} collides with {canon.get(form)}"
             canon[form] = t.key
-
-    def test_static_label_map_covers_catalog(self, catalog):
-        mapping = catalog.static_label_map()
-        assert len(mapping) == len(catalog)

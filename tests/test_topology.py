@@ -49,15 +49,10 @@ class TestCrayNodeId:
         assert n.cabinet == (2, 1)
         assert n.blade == (2, 1, 0, 5)
 
-    def test_same_blade_implies_same_cabinet(self):
-        a = CrayNodeId(1, 0, 2, 3, 0)
-        b = CrayNodeId(1, 0, 2, 3, 1)
-        assert a.same_blade(b) and a.same_cabinet(b)
-
     def test_same_cabinet_not_same_blade(self):
         a = CrayNodeId(1, 0, 2, 3, 0)
         b = CrayNodeId(1, 0, 1, 3, 0)
-        assert a.same_cabinet(b) and not a.same_blade(b)
+        assert a.same_cabinet(b) and a.blade != b.blade
 
     def test_ordering_is_physical(self):
         assert CrayNodeId(0, 0, 0, 0, 1) < CrayNodeId(0, 0, 0, 1, 0)
@@ -84,30 +79,20 @@ class TestClusterTopology:
         assert len(set(nodes)) == len(nodes)
 
     def test_node_at_index_round_trip(self, small_topology):
+        nodes = list(small_topology.nodes())
         for i in range(small_topology.num_nodes):
-            assert small_topology.index_of(small_topology.node_at(i)) == i
+            assert nodes.index(small_topology.node_at(i)) == i
 
     @given(st.integers(0, 15))
     def test_property_round_trip(self, i):
         topo = ClusterTopology(2, 1, 2, 2, 2)
-        assert topo.index_of(topo.node_at(i)) == i
+        assert list(topo.nodes()).index(topo.node_at(i)) == i
 
     def test_node_at_out_of_range(self, small_topology):
         with pytest.raises(TopologyError):
             small_topology.node_at(small_topology.num_nodes)
         with pytest.raises(TopologyError):
             small_topology.node_at(-1)
-
-    def test_index_of_foreign_node(self, small_topology):
-        with pytest.raises(TopologyError):
-            small_topology.index_of(CrayNodeId(99, 0, 0, 0, 0))
-
-    def test_blade_mates(self, small_topology):
-        node = small_topology.node_at(0)
-        mates = small_topology.blade_mates(node)
-        assert len(mates) == small_topology.nodes_per_blade - 1
-        assert all(node.same_blade(m) for m in mates)
-        assert node not in mates
 
     def test_cabinet_mates(self, small_topology):
         node = small_topology.node_at(0)
